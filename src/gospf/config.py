@@ -1,5 +1,6 @@
 """Flat key=value scenario configuration with validated defaults."""
 
+import math
 from dataclasses import dataclass, replace
 
 from .energy import validate_thresholds
@@ -39,6 +40,10 @@ class ScenarioConfig:
             validate_thresholds(self.gamma_u, self.gamma_l)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        for key in _FINITE_KEYS:
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.t_sample <= 0:
             raise ConfigError(f"t_sample must be positive, got {self.t_sample}")
         if self.horizon <= 0:
@@ -51,8 +56,21 @@ class ScenarioConfig:
             raise ConfigError("control_latency must be >= 0")
         if self.safeguard < 0 or self.mcst_reset_timer < 0:
             raise ConfigError("timers must be >= 0")
+        if self.ref_bandwidth <= 0:
+            raise ConfigError(f"ref_bandwidth must be positive, got {self.ref_bandwidth}")
+        for key in _NON_NEGATIVE_KEYS:
+            value = getattr(self, key)
+            if value < 0:
+                raise ConfigError(f"{key} must be >= 0, got {value}")
 
 
+# Keys whose value must be a finite number (gamma_u, gamma_l and alpha are
+# range-checked, which already rejects nan and inf).
+_FINITE_KEYS = ("horizon", "t_sample", "control_latency", "mcst_reset_timer",
+                "safeguard_interval", "ref_bandwidth", "tcp_burst_frac",
+                "p_active", "p_idle", "p_sleep", "e_c")
+_NON_NEGATIVE_KEYS = ("control_msg_bytes", "tcp_burst_frac", "p_active", "p_idle",
+                      "p_sleep", "e_c")
 _FLOAT_KEYS = {"gamma_u", "gamma_l", "t_sample", "safeguard_interval",
                "mcst_reset_timer", "alpha", "control_latency", "horizon",
                "ref_bandwidth", "tcp_burst_frac", "p_active", "p_idle",

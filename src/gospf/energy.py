@@ -82,6 +82,26 @@ class EnergyAccount:
             self.t_sleep += duration
             self.energy_j += self.p_sleep * duration
 
+    def accrue_window(self, t_busy: float, window: float) -> None:
+        """Charge one sampling window under the current state: `window`
+        seconds asleep, or `t_busy` active plus the rest idle. Same
+        additions, in the same order, as the equivalent `accrue` calls."""
+        if self.state is OperationalState.SLEEP:
+            if window < 0:
+                raise NegativeDuration(f"duration {window} < 0")
+            self.t_sleep += window
+            self.energy_j += self.p_sleep * window
+            return
+        if t_busy < 0:
+            raise NegativeDuration(f"duration {t_busy} < 0")
+        self.t_active += t_busy
+        self.energy_j += self.p_active * t_busy
+        t_idle = window - t_busy
+        if t_idle < 0:
+            raise NegativeDuration(f"duration {t_idle} < 0")
+        self.t_idle += t_idle
+        self.energy_j += self.p_idle * t_idle
+
     def record_wakeup(self) -> None:
         """Sleep-to-idle transition: bump the switch counter and pay e_c."""
         if self.state is not OperationalState.SLEEP:

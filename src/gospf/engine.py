@@ -185,11 +185,12 @@ class _EngineHooks(ProtocolHooks):
         self.engine.record_event(t, node, event, link, seq)
 
     def interface_woke(self, t, node, link):
-        acct = self.engine.accounts[(link, node)]
-        acct.record_wakeup()
+        self.engine.accounts[(link, node)].record_wakeup()
+        self.engine.active = None
 
     def interface_slept(self, t, node, link):
         self.engine.accounts[(link, node)].enter_sleep()
+        self.engine.active = None
 
 
 class _Run:
@@ -223,6 +224,10 @@ class _Run:
                 self.accounts[(link.link_id, side)] = EnergyAccount(
                     p_active=link.p_active, p_idle=link.p_idle,
                     p_sleep=link.p_sleep, e_c=link.e_c)
+        # (link id, capacity, account at a, account at b), in link-id order.
+        self.link_accounts = [
+            (lid, link.capacity, self.accounts[(lid, link.a)], self.accounts[(lid, link.b)])
+            for lid, link in self.topology.links.items()]
 
         self.nodes: dict[int, GospfNode] = {}
         if self.cfg.mode == MODE_GOSPF:
@@ -236,11 +241,13 @@ class _Run:
                     ref_bandwidth=self.cfg.ref_bandwidth, hooks=hooks)
 
         self.failed: set[int] = set()
+        # Links usable for traffic; None until recomputed after a change.
+        self.active: frozenset[int] | None = None
         self.pending_ctrl_bits: dict[int, float] = {}
-        self.msg_queue: list[tuple[float, int, int, int, int]] = []  # heap
-        self._queued: dict[int, tuple] = {}
+        # (arrival, origin, seq, receiver, counter, transmission); the unique
+        # counter keeps heap comparisons off the transmission.
+        self.msg_queue: list[tuple[float, int, int, int, int, Transmission]] = []
         self._queue_counter = 0
-        self._routing_cache: dict[int, tuple[int, object]] = {}
         self._baseline_tables: dict[int, object] = {}
         self.congestion_unresolved = 0
 
@@ -255,11 +262,9 @@ class _Run:
         """Queue a transmission; returns its size in bytes."""
         arrival = send_time + self.cfg.control_latency
         msg = tx.message
-        handle = self._queue_counter
+        heapq.heappush(self.msg_queue, (arrival, msg.origin, msg.seq, tx.receiver,
+                                        self._queue_counter, tx))
         self._queue_counter += 1
-        heapq.heappush(self.msg_queue,
-                       (arrival, msg.origin, msg.seq, tx.receiver, handle))
-        self._queued[handle] = (tx, )
         self.record_event(send_time, tx.sender, "FLOOD", tx.link_id, msg.seq)
         bits = self.cfg.control_msg_bytes * 8.0
         self.pending_ctrl_bits[tx.link_id] = \
@@ -270,15 +275,17 @@ class _Run:
         """Deliver every queued message (floods settle within the window)."""
         ctrl_bytes = 0
         while self.msg_queue:
-            arrival, _origin, _seq, receiver, handle = heapq.heappop(self.msg_queue)
-            (tx, ) = self._queued.pop(handle)
+            arrival, _origin, _seq, receiver, _counter, tx = heapq.heappop(self.msg_queue)
             node = self.nodes[receiver]
             for out in node.handle_message(arrival, tx.message, arrival_link=tx.link_id):
                 ctrl_bytes += self._enqueue(arrival, out)
         return ctrl_bytes
 
     def _ground_truth_active(self) -> frozenset[int]:
-        """Links usable for traffic: not failed, no endpoint asleep."""
+        """Links usable for traffic: not failed, no endpoint asleep. The set
+        is cached until an interface sleeps or wakes or a link fails."""
+        if self.active is not None:
+            return self.active
         active = []
         for link in self.topology.links.values():
             lid = link.link_id
@@ -290,17 +297,12 @@ class _Run:
                 if a_state is OperationalState.SLEEP or b_state is OperationalState.SLEEP:
                     continue
             active.append(lid)
-        return frozenset(active)
+        self.active = frozenset(active)
+        return self.active
 
     def _routing_for(self, source: int):
         if self.cfg.mode == MODE_GOSPF:
-            node = self.nodes[source]
-            cached = self._routing_cache.get(source)
-            if cached is not None and cached[0] == node.view_version:
-                return cached[1]
-            table = node.routing_table()
-            self._routing_cache[source] = (node.view_version, table)
-            return table
+            return self.nodes[source].routing_table()
         table = self._baseline_tables.get(source)
         if table is None:
             active = frozenset(self.topology.links) - frozenset(self.failed)
@@ -311,6 +313,10 @@ class _Run:
     # ------------------------------------------------------------------ run
 
     def run(self) -> RunResult:
+        """Step every window. Per-window results whose inputs did not change
+        since the previous window (allocation, link samples, busy times,
+        connectivity verdicts) are reused, not recomputed; the float
+        operations that reach the outputs run in the same order either way."""
         cfg = self.cfg
         ts = cfg.t_sample
         n_windows = int(math.floor(cfg.horizon / ts + 1e-9))
@@ -323,7 +329,17 @@ class _Run:
         flows = [self.scenario.traffic.flows[fid]
                  for fid in sorted(self.scenario.traffic.flows)]
         capacities = {lid: link.capacity for lid, link in self.topology.links.items()}
+        all_links = frozenset(self.topology.links)
         cumulative_energy = 0.0
+
+        # Inputs and results of the previous window, reused while unchanged.
+        prev_alloc_key = None
+        alloc = None
+        prev_link_bits = None
+        samples: dict[int, UtilizationSample] = {}
+        busy: list[float] = []
+        surviving_connected = is_connected(self.topology, all_links)
+        checked_active = None
 
         for w in range(n_windows):
             t0 = w * ts
@@ -338,6 +354,7 @@ class _Run:
                 if lid in self.failed:
                     continue
                 self.failed.add(lid)
+                self.active = None
                 failed_this_window = True
                 link = self.topology.links[lid]
                 if self.cfg.mode == MODE_GOSPF:
@@ -347,6 +364,8 @@ class _Run:
                     for acct_side in link.endpoints():
                         self.accounts[(lid, acct_side)].enter_sleep()
                     self._baseline_tables.clear()
+            if failed_this_window:
+                surviving_connected = is_connected(self.topology, all_links - self.failed)
 
             if self.cfg.mode == MODE_GOSPF:
                 for nid in self.topology.node_ids:
@@ -372,46 +391,49 @@ class _Run:
                 table = self._routing_for(flow.src)
                 path = table.paths.get(flow.dst)
                 flow_paths.append((flow.flow_id, rate, path))
-            alloc = allocate(flow_paths, capacities, usable, ts,
-                             self.topology.link_between)
+            # allocate() is a pure function of these inputs: the capacities,
+            # window and link lookup are fixed for the run.
+            alloc_key = (flow_paths, usable)
+            if alloc_key != prev_alloc_key:
+                alloc = allocate(flow_paths, capacities, usable, ts,
+                                 self.topology.link_between)
+                prev_alloc_key = alloc_key
 
             # Interface bit counters: data plus last window's control traffic.
             link_bits = dict(alloc.link_bits)
             for lid, bits in self.pending_ctrl_bits.items():
                 link_bits[lid] = link_bits.get(lid, 0.0) + bits
             self.pending_ctrl_bits = {}
+            if link_bits != prev_link_bits:
+                busy = [min(ts, link_bits.get(lid, 0.0) / cap)
+                        for lid, cap, _acct_a, _acct_b in self.link_accounts]
+                samples = {
+                    lid: UtilizationSample(bits=link_bits.get(lid, 0.0),
+                                           line_rate=cap, window=ts)
+                    for lid, cap, _acct_a, _acct_b in self.link_accounts}
+                prev_link_bits = link_bits
 
             # Energy for this window under the states in force during it.
-            for link in self.topology.links.values():
-                lid = link.link_id
-                bits = link_bits.get(lid, 0.0)
-                t_ac = min(ts, bits / link.capacity)
-                for side in link.endpoints():
-                    acct = self.accounts[(lid, side)]
-                    if acct.state is OperationalState.SLEEP:
-                        acct.accrue(OperationalState.SLEEP, ts)
-                    else:
-                        acct.accrue(OperationalState.ACTIVE, t_ac)
-                        acct.accrue(OperationalState.IDLE, ts - t_ac)
+            for (_lid, _cap, acct_a, acct_b), t_busy in zip(self.link_accounts, busy):
+                acct_a.accrue_window(t_busy, ts)
+                acct_b.accrue_window(t_busy, ts)
 
             # Periodic checks, then drain the resulting floods.
             ctrl_bytes = 0
             if self.cfg.mode == MODE_GOSPF:
-                samples = {
-                    lid: UtilizationSample(bits=link_bits.get(lid, 0.0),
-                                           line_rate=capacities[lid], window=ts)
-                    for lid in self.topology.links}
                 for nid in self.topology.node_ids:
                     for tx in self.nodes[nid].sample_tick(t1, samples):
                         ctrl_bytes += self._enqueue(t1, tx)
                 ctrl_bytes += self._drain_messages()
 
+            # Every distinct active set is checked once, in the first window
+            # that ends with it.
             active = self._ground_truth_active()
-            surviving = frozenset(self.topology.links) - frozenset(self.failed)
-            if is_connected(self.topology, surviving):
-                if not is_connected(self.topology, active):
+            if active is not checked_active:
+                if surviving_connected and not is_connected(self.topology, active):
                     raise AssertionError(
                         f"window {w}: active link set no longer spans the network")
+                checked_active = active
 
             # Wake transition costs charged by the ticks land in this window.
             new_total = total_network_energy(self.accounts.values())

@@ -223,3 +223,25 @@ def test_run_outputs_deterministic(small_files, tmp_path):
     for fname in ("metrics.csv", "events.log", "summary.txt"):
         assert (tmp_path / "x" / fname).read_bytes() == \
             (tmp_path / "y" / fname).read_bytes()
+
+
+@pytest.mark.parametrize("line", [
+    "horizon=nan", "horizon=inf", "t_sample=nan", "t_sample=inf",
+    "control_latency=nan", "control_latency=inf", "mcst_reset_timer=inf",
+    "mcst_reset_timer=nan", "safeguard_interval=nan", "safeguard_interval=inf",
+    "ref_bandwidth=nan", "ref_bandwidth=inf", "ref_bandwidth=0", "ref_bandwidth=-1e8",
+    "control_msg_bytes=-5", "tcp_burst_frac=-0.01", "tcp_burst_frac=nan",
+    "tcp_burst_frac=inf", "p_active=-1", "p_active=nan", "p_idle=-0.8",
+    "p_idle=inf", "p_sleep=-0.016", "p_sleep=nan", "e_c=-1", "e_c=inf",
+])
+def test_run_rejects_out_of_domain_config(small_files, tmp_path, capsys, line):
+    topo, traffic, _config = small_files
+    config = tmp_path / "bad.conf"
+    config.write_text(f"horizon=4.0\n{line}\n")
+    code = run_cli("run", "--topology", topo, "--traffic", traffic,
+                   "--config", config, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("gospf: error:")
+    assert line.split("=")[0] in err
+    assert "Traceback" not in err

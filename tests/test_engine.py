@@ -1,11 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
 from gospf.config import ConfigError, ScenarioConfig, parse_config
+from gospf.energy import EnergyAccount, NegativeDuration, OperationalState
 from gospf.engine import (MetricsSeries, MismatchedScenarios, Scenario,
                           compare, run)
 from gospf.graph import compute_mcst
+from gospf.protocol import GospfNode
 from gospf.traffic import Flow, TrafficMatrix
 
 from conftest import make_topology, random_connected_topology
@@ -264,3 +267,112 @@ def test_overhead_counts_control_bytes(garr48):
         [constant_flow(1, 30, 1, 2e7)], 10.0), horizon=10.0))
     assert res.metrics.ctrl_bytes_total > 0
     assert res.metrics.overhead_pct > 0
+
+
+# ---------------------------------------------------------- golden outputs
+
+def stepped_flow(fid, src, dst, steps, kind="udp"):
+    flow = Flow(fid, src, dst, kind)
+    for t, rate in steps:
+        flow.add_step(t, rate)
+    return flow
+
+
+def cut_graft_scenario(**keys):
+    topo = random_connected_topology(random.Random(5), 8, 6)
+    flows = [stepped_flow(1, 1, 8, [(0.0, 1e6), (4.0, 9e6), (8.0, 5e5)]),
+             stepped_flow(2, 3, 6, [(0.0, 2e6), (6.0, 8e6), (10.0, 0.0)], "tcp")]
+    return scenario(topo, TrafficMatrix(flows, 14.0), horizon=14.0, **keys)
+
+
+def baseline_failure_scenario():
+    sc = cut_graft_scenario(mode="baseline")
+    nontree = min(set(sc.topology.links) - compute_mcst(sc.topology).edges)
+    return Scenario(sc.topology, sc.traffic, sc.config, ((5.0, nontree),))
+
+
+def tree_failure_scenario(garr48):
+    flows = [stepped_flow(1, 30, 1, [(0.0, 2e7)]),
+             stepped_flow(2, 5, 40, [(0.0, 1e6), (8.0, 3e7)])]
+    failed = min(compute_mcst(garr48).edges)
+    return scenario(garr48, TrafficMatrix(flows, 20.0), failures=[(5.0, failed)],
+                    horizon=20.0)
+
+
+def output_digest(result):
+    blob = (result.metrics.csv_text() + "\n".join(result.events)
+            + result.metrics.summary_text())
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def event_kinds(result):
+    return {line.split()[2] for line in result.events}
+
+
+# Digests of the outputs before per-window results were reused; any change
+# in a metric row, an event line or the summary moves them.
+def test_golden_gospf_cuts_and_grafts():
+    result = run(cut_graft_scenario())
+    assert {"event=CUT", "event=GRAFT", "event=WAKE"} <= event_kinds(result)
+    assert output_digest(result) == \
+        "ffbc17dbcff3ee818bcfaaede3a33598a66c0be0f458d51af4942d5f98ac642f"
+
+
+def test_golden_baseline_with_failure():
+    result = run(baseline_failure_scenario())
+    assert output_digest(result) == \
+        "18ef347c72b1d08d15f48cf0f9dc67d68922dd074b02d1c64d3c8da3c4fee083"
+
+
+def test_golden_tree_failure_and_reset(garr48):
+    result = run(tree_failure_scenario(garr48))
+    assert "event=RESET" in event_kinds(result)
+    assert output_digest(result) == \
+        "5742d1dce3f8f2be83f98ea3c2de9bcf43a0690cbeed317d43034923a524ed12"
+
+
+@pytest.mark.parametrize("state", list(OperationalState))
+def test_accrue_window_matches_accrue_bit_for_bit(state):
+    window = 0.2
+    one = EnergyAccount(p_active=1.3, p_idle=0.7, p_sleep=0.011, state=state)
+    two = EnergyAccount(p_active=1.3, p_idle=0.7, p_sleep=0.011, state=state)
+    for t_busy in (0.0, 0.1, 1 / 30, 0.2, 0.07000000000000001, 0.19999999999999998):
+        one.accrue_window(t_busy, window)
+        if state is OperationalState.SLEEP:
+            two.accrue(OperationalState.SLEEP, window)
+        else:
+            two.accrue(OperationalState.ACTIVE, t_busy)
+            two.accrue(OperationalState.IDLE, window - t_busy)
+    assert one == two
+    fields = ("t_active", "t_idle", "t_sleep", "energy_j")
+    assert [getattr(one, f).hex() for f in fields] == \
+        [getattr(two, f).hex() for f in fields]
+
+
+def test_accrue_window_rejects_negative_durations():
+    awake = EnergyAccount(p_active=1.0, p_idle=0.8, p_sleep=0.016)
+    with pytest.raises(NegativeDuration):
+        awake.accrue_window(-0.1, 0.2)
+    with pytest.raises(NegativeDuration):
+        awake.accrue_window(0.3, 0.2)  # idle share would be negative
+    asleep = EnergyAccount(p_active=1.0, p_idle=0.8, p_sleep=0.016,
+                           state=OperationalState.SLEEP)
+    with pytest.raises(NegativeDuration):
+        asleep.accrue_window(0.0, -0.2)
+
+
+def test_forced_bridge_sleep_breaks_the_spanning_invariant(monkeypatch):
+    # Link 4 is the only link to node 4. Sleeping it mid-run through the
+    # protocol hooks must drop the engine's cached active set, so the
+    # connectivity check sees the new set and fails.
+    topo = make_topology([(1, 2), (2, 3), (3, 1), (3, 4)], 1e7)
+    original = GospfNode.sample_tick
+
+    def sample_tick(node, now, samples):
+        if node.node_id == 4 and now >= 3.0:
+            node._sleep_interface(now, 4)
+        return original(node, now, samples)
+
+    monkeypatch.setattr(GospfNode, "sample_tick", sample_tick)
+    with pytest.raises(AssertionError, match="no longer spans"):
+        run(scenario(topo, horizon=10.0))
