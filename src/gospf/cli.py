@@ -9,11 +9,12 @@ import logging
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import engine, oracle, traffic
 from .config import ConfigError, ScenarioConfig, parse_config
 from .engine import MismatchedScenarios, Scenario
-from .graph import TopologyError, parse_topology
+from .graph import Topology, TopologyError, parse_topology
 from .traffic import TrafficError, parse_traffic
 
 log = logging.getLogger(__name__)
@@ -36,16 +37,20 @@ def _read(path: str, what: str) -> str:
     return p.read_text()
 
 
-def _load_scenario(args) -> Scenario:
-    cfg = ScenarioConfig()
-    if args.config:
-        cfg = parse_config(_read(args.config, "config"), cfg)
+def _load_topology(args) -> tuple[ScenarioConfig, Topology]:
+    """The config (defaults, then --config, then --mode) and the topology,
+    whose links default to the config's power ratings."""
+    cfg = parse_config(_read(args.config, "config")) if args.config else ScenarioConfig()
     if getattr(args, "mode", None):
-        mode = "baseline" if args.mode == "baseline" else "gospf"
-        cfg = parse_config(f"mode={mode}", cfg)
+        cfg = parse_config(f"mode={args.mode}", cfg)
     topo = parse_topology(_read(args.topology, "topology"),
                           p_active=cfg.p_active, p_idle=cfg.p_idle,
                           p_sleep=cfg.p_sleep, e_c=cfg.e_c)
+    return cfg, topo
+
+
+def _load_scenario(args) -> Scenario:
+    cfg, topo = _load_topology(args)
     matrix = parse_traffic(_read(args.traffic, "traffic"), horizon=cfg.horizon)
     return Scenario(topology=topo, traffic=matrix, config=cfg)
 
@@ -63,37 +68,29 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _read_summary(directory: str) -> dict[str, str]:
+_SUMMARY_FLOATS = ("total_energy_j", "loss_pct", "overhead_pct", "avg_active_links")
+
+
+def _read_summary(directory: str) -> SimpleNamespace:
+    """The fields of a run's summary.txt that engine.compare reads."""
     text = _read(str(Path(directory) / "summary.txt"), "summary")
     values = {}
     for line in text.splitlines():
         if "=" in line:
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
-    return values
+    missing = [key for key in ("fingerprint",) + _SUMMARY_FLOATS if key not in values]
+    if missing:
+        raise ConfigError(f"summary in {directory} lacks {', '.join(missing)}")
+    try:
+        floats = {key: float(values[key]) for key in _SUMMARY_FLOATS}
+    except ValueError as exc:
+        raise ConfigError(f"summary in {directory}: {exc}") from None
+    return SimpleNamespace(fingerprint=values["fingerprint"], **floats)
 
 
 def cmd_compare(args) -> int:
-    sa = _read_summary(args.dir_a)
-    sb = _read_summary(args.dir_b)
-    if sa.get("fingerprint") != sb.get("fingerprint"):
-        raise MismatchedScenarios(
-            f"runs in {args.dir_a} and {args.dir_b} used different scenarios")
-    needed = ("total_energy_j", "loss_pct", "overhead_pct", "avg_active_links")
-    for directory, summary in ((args.dir_a, sa), (args.dir_b, sb)):
-        missing = [key for key in needed if key not in summary]
-        if missing:
-            raise ConfigError(f"summary in {directory} lacks {', '.join(missing)}")
-    energy_a = float(sa["total_energy_j"])
-    energy_b = float(sb["total_energy_j"])
-    if energy_b <= 0:
-        raise MismatchedScenarios("reference run consumed no energy")
-    report = engine.SavingReport(
-        saving_pct=(1.0 - energy_a / energy_b) * 100.0,
-        loss_pct_a=float(sa["loss_pct"]), loss_pct_b=float(sb["loss_pct"]),
-        overhead_pct_a=float(sa["overhead_pct"]), overhead_pct_b=float(sb["overhead_pct"]),
-        avg_active_links_a=float(sa["avg_active_links"]),
-        avg_active_links_b=float(sb["avg_active_links"]))
+    report = engine.compare(_read_summary(args.dir_a), _read_summary(args.dir_b))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "comparison.txt").write_text(report.text())
@@ -102,12 +99,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen_traffic(args) -> int:
-    cfg = ScenarioConfig()
-    if args.config:
-        cfg = parse_config(_read(args.config, "config"), cfg)
-    topo = parse_topology(_read(args.topology, "topology"),
-                          p_active=cfg.p_active, p_idle=cfg.p_idle,
-                          p_sleep=cfg.p_sleep, e_c=cfg.e_c)
+    cfg, topo = _load_topology(args)
     matrix = traffic.generate_traffic(
         topo, args.kind, args.flows, args.peak_util, cfg.horizon,
         flavor=args.flavor, ref_bandwidth=cfg.ref_bandwidth)
@@ -120,10 +112,7 @@ def cmd_gen_traffic(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    scenario = _load_scenario(args)
-    if scenario.config.mode != "gospf":
-        raise ConfigError("gap analysis runs the gospf mode")
-    rows = oracle.heuristic_gap(scenario)
+    rows = oracle.heuristic_gap(_load_scenario(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "gap.csv").write_text(oracle.gap_csv(rows))

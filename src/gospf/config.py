@@ -10,6 +10,10 @@ class ConfigError(ValueError):
     pass
 
 
+# Most windows one run may simulate; a day at t_sample=0.02 is 72,000.
+MAX_WINDOWS = 10**7
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     gamma_u: float = 0.8
@@ -28,7 +32,6 @@ class ScenarioConfig:
     p_idle: float = 0.8
     p_sleep: float = 0.016
     e_c: float = 0.0
-    seed: int | None = None  # reserved; no randomized tie-breaking is used
 
     @property
     def safeguard(self) -> float:
@@ -48,6 +51,9 @@ class ScenarioConfig:
             raise ConfigError(f"t_sample must be positive, got {self.t_sample}")
         if self.horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        if self.horizon / self.t_sample > MAX_WINDOWS:
+            raise ConfigError(f"horizon / t_sample exceeds {MAX_WINDOWS} windows: "
+                              f"{self.horizon} / {self.t_sample}")
         if self.mode not in ("gospf", "baseline"):
             raise ConfigError(f"mode must be gospf or baseline, got {self.mode!r}")
         if not (0 < self.alpha <= 1):
@@ -75,7 +81,7 @@ _FLOAT_KEYS = {"gamma_u", "gamma_l", "t_sample", "safeguard_interval",
                "mcst_reset_timer", "alpha", "control_latency", "horizon",
                "ref_bandwidth", "tcp_burst_frac", "p_active", "p_idle",
                "p_sleep", "e_c"}
-_INT_KEYS = {"control_msg_bytes", "seed"}
+_INT_KEYS = {"control_msg_bytes"}
 _STR_KEYS = {"mode"}
 
 
@@ -91,15 +97,15 @@ def parse_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfi
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             if key in _FLOAT_KEYS:
                 updates[key] = float(value)
             elif key in _INT_KEYS:
                 updates[key] = int(value)
-            elif key in _STR_KEYS:
-                updates[key] = value
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+                updates[key] = value
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from None
     cfg = replace(cfg, **updates)

@@ -2,31 +2,27 @@
 and energy accounting, plus the GOSPF-vs-baseline comparison report.
 
 Time advances in sampling windows. Within each window: demands are evaluated
-and allocated on the routes the nodes currently believe in, energy accrues
-for the window, every node runs its periodic check in ascending node-id
-order, and the control messages those checks emit are drained in
-(arrival, origin, seq, receiver) order. Identical scenarios produce
+and allocated on the routes the controller currently believes in, energy
+accrues for the window, and the controller runs its end-of-window checks.
+One loop serves both modes: `AlwaysOn` is the standard-OSPF baseline and
+`GospfController` runs a GospfNode per router. Identical scenarios produce
 byte-identical metrics and event logs.
 """
 
 import hashlib
 import heapq
-import logging
 import math
 from dataclasses import dataclass, field
 
 from .config import ConfigError, ScenarioConfig
 from .energy import (EnergyAccount, OperationalState, UtilizationSample,
                      total_network_energy)
-from .graph import (DisconnectedTopology, Topology, bfs_hop_counts,
+from .graph import (DisconnectedTopology, RoutingTable, Topology, bfs_hop_counts,
                     is_connected, shortest_paths, write_topology)
 from .protocol import GospfNode, ProtocolHooks, Transmission
 from .traffic import TrafficMatrix, allocate, write_traffic
 
-log = logging.getLogger(__name__)
-
 MODE_GOSPF = "gospf"
-MODE_BASELINE = "baseline"
 
 
 class MismatchedScenarios(ValueError):
@@ -163,7 +159,9 @@ class SavingReport:
 
 
 def compare(a: MetricsSeries, b: MetricsSeries) -> SavingReport:
-    """Energy saving of run `a` relative to reference run `b` (the baseline)."""
+    """Energy saving of run `a` relative to reference run `b` (the baseline).
+    Reads only fingerprint, total_energy_j, loss_pct, overhead_pct and
+    avg_active_links, which `gospf compare` reads back from summary.txt."""
     if a.fingerprint != b.fingerprint:
         raise MismatchedScenarios("metric series come from different scenarios")
     if b.total_energy_j <= 0:
@@ -177,20 +175,127 @@ def compare(a: MetricsSeries, b: MetricsSeries) -> SavingReport:
     )
 
 
-class _EngineHooks(ProtocolHooks):
-    def __init__(self, engine: "_Run"):
-        self.engine = engine
+class AlwaysOn:
+    """Standard OSPF, the baseline: every link that has not failed stays
+    awake and carries shortest-path traffic."""
+
+    def __init__(self, run: "_Run"):
+        self.run = run
+        self.tables: dict[int, RoutingTable] = {}  # per source, until a failure
+
+    def fail(self, lid: int) -> None:
+        for side in self.run.topology.links[lid].endpoints():
+            self.run.accounts[(lid, side)].enter_sleep()
+        self.tables.clear()
+
+    def start_window(self, w: int, t0: float) -> dict[int, float]:
+        return {}
+
+    def awake(self, lid: int) -> bool:
+        return True
+
+    def routing_for(self, source: int) -> RoutingTable:
+        table = self.tables.get(source)
+        if table is None:
+            run = self.run
+            usable = frozenset(run.topology.links) - frozenset(run.failed)
+            table = shortest_paths(run.topology, usable, source, run.cfg.ref_bandwidth)
+            self.tables[source] = table
+        return table
+
+    def tick(self, t1: float, samples: dict[int, UtilizationSample]) -> int:
+        return 0
+
+    def resetting(self) -> bool:
+        return False
+
+
+class GospfController(ProtocolHooks):
+    """GOSPF: one GospfNode per router, ticked in ascending node id. Acts as
+    the nodes' hooks and delivers their floods in (arrival, origin, seq,
+    receiver) order; floods settle within the window that sends them."""
+
+    def __init__(self, run: "_Run"):
+        self.run = run
+        cfg = run.cfg
+        self.nodes = {nid: GospfNode(
+            nid, run.topology, gamma_u=cfg.gamma_u, gamma_l=cfg.gamma_l,
+            safeguard_interval=cfg.safeguard, mcst_reset_timer=cfg.mcst_reset_timer,
+            t_sample=cfg.t_sample, ref_bandwidth=cfg.ref_bandwidth, hooks=self)
+            for nid in run.topology.node_ids}
+        # Control bits each link carried since the last window start.
+        self.pending_ctrl_bits: dict[int, float] = {}
+        # (arrival, origin, seq, receiver, counter, transmission); the unique
+        # counter keeps heap comparisons off the transmission.
+        self.msg_queue: list[tuple[float, int, int, int, int, Transmission]] = []
+        self.queue_counter = 0
 
     def record_event(self, t, node, event, link, seq):
-        self.engine.record_event(t, node, event, link, seq)
+        self.run.events.append(f"t={t:.6f} node={node} event={event} link={link} seq={seq}")
+        if event == "CONGESTION_UNRESOLVED":
+            self.run.congestion_unresolved += 1
 
     def interface_woke(self, t, node, link):
-        self.engine.accounts[(link, node)].record_wakeup()
-        self.engine.active = None
+        self.run.accounts[(link, node)].record_wakeup()
+        self.run.active = None
 
     def interface_slept(self, t, node, link):
-        self.engine.accounts[(link, node)].enter_sleep()
-        self.engine.active = None
+        self.run.accounts[(link, node)].enter_sleep()
+        self.run.active = None
+
+    def fail(self, lid: int) -> None:
+        for side in self.run.topology.links[lid].endpoints():
+            self.nodes[side].notice_link_failure(lid)
+
+    def start_window(self, w: int, t0: float) -> dict[int, float]:
+        """Finish the tree resets that are due; returns, and clears, the
+        control bits the previous window's floods put on each link."""
+        for node in self.nodes.values():
+            try:
+                node.complete_reset_if_due(t0)
+            except DisconnectedTopology as exc:
+                raise DisconnectedTopology(
+                    f"window {w}: link failures partitioned the "
+                    f"network; no spanning tree survives") from exc
+        pending, self.pending_ctrl_bits = self.pending_ctrl_bits, {}
+        return pending
+
+    def awake(self, lid: int) -> bool:
+        link = self.run.topology.links[lid]
+        return (self.nodes[link.a].iface_state[lid] is not OperationalState.SLEEP
+                and self.nodes[link.b].iface_state[lid] is not OperationalState.SLEEP)
+
+    def routing_for(self, source: int) -> RoutingTable:
+        return self.nodes[source].routing_table()
+
+    def tick(self, t1: float, samples: dict[int, UtilizationSample]) -> int:
+        """Periodic checks, then drain the resulting floods; returns the
+        control bytes sent."""
+        ctrl_bytes = 0
+        for node in self.nodes.values():
+            for tx in node.sample_tick(t1, samples):
+                ctrl_bytes += self._send(t1, tx)
+        while self.msg_queue:
+            arrival, _origin, _seq, receiver, _counter, tx = heapq.heappop(self.msg_queue)
+            for out in self.nodes[receiver].handle_message(
+                    arrival, tx.message, arrival_link=tx.link_id):
+                ctrl_bytes += self._send(arrival, out)
+        return ctrl_bytes
+
+    def resetting(self) -> bool:
+        return any(node.reset_until is not None for node in self.nodes.values())
+
+    def _send(self, send_time: float, tx: Transmission) -> int:
+        """Queue a transmission; returns its size in bytes."""
+        cfg = self.run.cfg
+        msg = tx.message
+        heapq.heappush(self.msg_queue, (send_time + cfg.control_latency, msg.origin,
+                                        msg.seq, tx.receiver, self.queue_counter, tx))
+        self.queue_counter += 1
+        self.record_event(send_time, tx.sender, "FLOOD", tx.link_id, msg.seq)
+        self.pending_ctrl_bits[tx.link_id] = \
+            self.pending_ctrl_bits.get(tx.link_id, 0.0) + cfg.control_msg_bytes * 8.0
+        return cfg.control_msg_bytes
 
 
 class _Run:
@@ -229,88 +334,21 @@ class _Run:
             (lid, link.capacity, self.accounts[(lid, link.a)], self.accounts[(lid, link.b)])
             for lid, link in self.topology.links.items()]
 
-        self.nodes: dict[int, GospfNode] = {}
-        if self.cfg.mode == MODE_GOSPF:
-            hooks = _EngineHooks(self)
-            for nid in self.topology.node_ids:
-                self.nodes[nid] = GospfNode(
-                    nid, self.topology, gamma_u=self.cfg.gamma_u,
-                    gamma_l=self.cfg.gamma_l, safeguard_interval=self.cfg.safeguard,
-                    mcst_reset_timer=self.cfg.mcst_reset_timer,
-                    t_sample=self.cfg.t_sample,
-                    ref_bandwidth=self.cfg.ref_bandwidth, hooks=hooks)
-
         self.failed: set[int] = set()
         # Links usable for traffic; None until recomputed after a change.
         self.active: frozenset[int] | None = None
-        self.pending_ctrl_bits: dict[int, float] = {}
-        # (arrival, origin, seq, receiver, counter, transmission); the unique
-        # counter keeps heap comparisons off the transmission.
-        self.msg_queue: list[tuple[float, int, int, int, int, Transmission]] = []
-        self._queue_counter = 0
-        self._baseline_tables: dict[int, object] = {}
         self.congestion_unresolved = 0
-
-    # -------------------------------------------------------------- plumbing
-
-    def record_event(self, t, node, event, link, seq):
-        self.events.append(f"t={t:.6f} node={node} event={event} link={link} seq={seq}")
-        if event == "CONGESTION_UNRESOLVED":
-            self.congestion_unresolved += 1
-
-    def _enqueue(self, send_time: float, tx: Transmission) -> int:
-        """Queue a transmission; returns its size in bytes."""
-        arrival = send_time + self.cfg.control_latency
-        msg = tx.message
-        heapq.heappush(self.msg_queue, (arrival, msg.origin, msg.seq, tx.receiver,
-                                        self._queue_counter, tx))
-        self._queue_counter += 1
-        self.record_event(send_time, tx.sender, "FLOOD", tx.link_id, msg.seq)
-        bits = self.cfg.control_msg_bytes * 8.0
-        self.pending_ctrl_bits[tx.link_id] = \
-            self.pending_ctrl_bits.get(tx.link_id, 0.0) + bits
-        return self.cfg.control_msg_bytes
-
-    def _drain_messages(self) -> int:
-        """Deliver every queued message (floods settle within the window)."""
-        ctrl_bytes = 0
-        while self.msg_queue:
-            arrival, _origin, _seq, receiver, _counter, tx = heapq.heappop(self.msg_queue)
-            node = self.nodes[receiver]
-            for out in node.handle_message(arrival, tx.message, arrival_link=tx.link_id):
-                ctrl_bytes += self._enqueue(arrival, out)
-        return ctrl_bytes
+        self.controller = (GospfController if self.cfg.mode == MODE_GOSPF
+                           else AlwaysOn)(self)
 
     def _ground_truth_active(self) -> frozenset[int]:
-        """Links usable for traffic: not failed, no endpoint asleep. The set
-        is cached until an interface sleeps or wakes or a link fails."""
-        if self.active is not None:
-            return self.active
-        active = []
-        for link in self.topology.links.values():
-            lid = link.link_id
-            if lid in self.failed:
-                continue
-            if self.cfg.mode == MODE_GOSPF:
-                a_state = self.nodes[link.a].iface_state[lid]
-                b_state = self.nodes[link.b].iface_state[lid]
-                if a_state is OperationalState.SLEEP or b_state is OperationalState.SLEEP:
-                    continue
-            active.append(lid)
-        self.active = frozenset(active)
+        """Links usable for traffic: not failed, both interfaces awake. The
+        set is cached until an interface sleeps or wakes or a link fails."""
+        if self.active is None:
+            awake = self.controller.awake
+            self.active = frozenset(lid for lid in self.topology.links
+                                    if lid not in self.failed and awake(lid))
         return self.active
-
-    def _routing_for(self, source: int):
-        if self.cfg.mode == MODE_GOSPF:
-            return self.nodes[source].routing_table()
-        table = self._baseline_tables.get(source)
-        if table is None:
-            active = frozenset(self.topology.links) - frozenset(self.failed)
-            table = shortest_paths(self.topology, active, source, self.cfg.ref_bandwidth)
-            self._baseline_tables[source] = table
-        return table
-
-    # ------------------------------------------------------------------ run
 
     def run(self) -> RunResult:
         """Step every window. Per-window results whose inputs did not change
@@ -319,6 +357,7 @@ class _Run:
         operations that reach the outputs run in the same order either way."""
         cfg = self.cfg
         ts = cfg.t_sample
+        ctrl = self.controller
         n_windows = int(math.floor(cfg.horizon / ts + 1e-9))
         metrics = MetricsSeries(mode=cfg.mode, fingerprint=self.scenario.fingerprint(),
                                 t_sample=ts, horizon=cfg.horizon)
@@ -326,8 +365,7 @@ class _Run:
 
         failures = sorted(self.scenario.link_failures)
         failure_idx = 0
-        flows = [self.scenario.traffic.flows[fid]
-                 for fid in sorted(self.scenario.traffic.flows)]
+        traffic = self.scenario.traffic
         capacities = {lid: link.capacity for lid, link in self.topology.links.items()}
         all_links = frozenset(self.topology.links)
         cumulative_energy = 0.0
@@ -356,41 +394,21 @@ class _Run:
                 self.failed.add(lid)
                 self.active = None
                 failed_this_window = True
-                link = self.topology.links[lid]
-                if self.cfg.mode == MODE_GOSPF:
-                    self.nodes[link.a].notice_link_failure(lid)
-                    self.nodes[link.b].notice_link_failure(lid)
-                else:
-                    for acct_side in link.endpoints():
-                        self.accounts[(lid, acct_side)].enter_sleep()
-                    self._baseline_tables.clear()
+                ctrl.fail(lid)
             if failed_this_window:
                 surviving_connected = is_connected(self.topology, all_links - self.failed)
-
-            if self.cfg.mode == MODE_GOSPF:
-                for nid in self.topology.node_ids:
-                    try:
-                        self.nodes[nid].complete_reset_if_due(t0)
-                    except DisconnectedTopology as exc:
-                        raise DisconnectedTopology(
-                            f"window {w}: link failures partitioned the "
-                            f"network; no spanning tree survives") from exc
+            ctrl_bits = ctrl.start_window(w, t0)
 
             # Demands and fluid allocation on the currently believed routes.
-            rates = {}
-            for flow in flows:
-                rate = flow.rate_at(t0)
-                rate += flow.burst_at(t0, ts, cfg.tcp_burst_frac)
-                rates[flow.flow_id] = rate
+            rates = traffic.demand_at(t0, ts, cfg.tcp_burst_frac)
             usable = self._ground_truth_active()
             flow_paths = []
-            for flow in flows:
-                rate = rates[flow.flow_id]
+            for fid, rate in rates.items():
                 if rate <= 0:
                     continue
-                table = self._routing_for(flow.src)
-                path = table.paths.get(flow.dst)
-                flow_paths.append((flow.flow_id, rate, path))
+                flow = traffic.flows[fid]
+                path = ctrl.routing_for(flow.src).paths.get(flow.dst)
+                flow_paths.append((fid, rate, path))
             # allocate() is a pure function of these inputs: the capacities,
             # window and link lookup are fixed for the run.
             alloc_key = (flow_paths, usable)
@@ -401,9 +419,8 @@ class _Run:
 
             # Interface bit counters: data plus last window's control traffic.
             link_bits = dict(alloc.link_bits)
-            for lid, bits in self.pending_ctrl_bits.items():
+            for lid, bits in ctrl_bits.items():
                 link_bits[lid] = link_bits.get(lid, 0.0) + bits
-            self.pending_ctrl_bits = {}
             if link_bits != prev_link_bits:
                 busy = [min(ts, link_bits.get(lid, 0.0) / cap)
                         for lid, cap, _acct_a, _acct_b in self.link_accounts]
@@ -418,13 +435,8 @@ class _Run:
                 acct_a.accrue_window(t_busy, ts)
                 acct_b.accrue_window(t_busy, ts)
 
-            # Periodic checks, then drain the resulting floods.
-            ctrl_bytes = 0
-            if self.cfg.mode == MODE_GOSPF:
-                for nid in self.topology.node_ids:
-                    for tx in self.nodes[nid].sample_tick(t1, samples):
-                        ctrl_bytes += self._enqueue(t1, tx)
-                ctrl_bytes += self._drain_messages()
+            # Protocol checks at the window end, floods drained.
+            ctrl_bytes = ctrl.tick(t1, samples)
 
             # Every distinct active set is checked once, in the first window
             # that ends with it.
@@ -452,16 +464,13 @@ class _Run:
             metrics.dropped_bits_total += alloc.dropped_bits
             metrics.ctrl_bytes_total += ctrl_bytes
 
-            resetting = any(n.reset_until is not None for n in self.nodes.values())
             quiet = (len(self.events) == events_before and not failed_this_window
-                     and not resetting)
+                     and not ctrl.resetting())
             metrics.quiesced.append(quiet)
 
             if states is not None:
-                snap_flows = {}
-                for fid, rate, path in flow_paths:
-                    snap_flows[fid] = (path, rates[fid])
-                states.append(WindowState(active=active, flows=snap_flows))
+                states.append(WindowState(active=active, flows={
+                    fid: (path, rate) for fid, rate, path in flow_paths}))
 
         metrics.congestion_unresolved = self.congestion_unresolved
         return RunResult(metrics=metrics, events=self.events, states=states,

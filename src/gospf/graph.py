@@ -44,9 +44,6 @@ class Link:
             return self.a
         raise ValueError(f"node {node} is not an endpoint of link {self.link_id}")
 
-    def touches(self, node: int) -> bool:
-        return node == self.a or node == self.b
-
 
 class Topology:
     """Validated undirected simple connected graph with named nodes."""

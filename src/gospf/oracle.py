@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import MODE_GOSPF, Scenario, run
-from .graph import Topology
+from .graph import Topology, _UnionFind
 
 
 class OracleError(ValueError):
@@ -263,20 +263,11 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
                 active=active, paths=paths, power_cost=power, routing_cost=routing)
 
     def endpoints_connectable(included: list[int], undecided: list[int]) -> bool:
-        parent = {n: n for n in topology.nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = _UnionFind(topology.nodes)
         for lid in itertools.chain(included, undecided):
             link = topology.links[lid]
-            ra, rb = find(link.a), find(link.b)
-            if ra != rb:
-                parent[rb] = ra
-        return all(find(d.src) == find(d.dst) for _i, d in nonzero)
+            uf.union(link.a, link.b)
+        return all(uf.find(d.src) == uf.find(d.dst) for _i, d in nonzero)
 
     # Seed the incumbent with the full link set before branching.
     full_power = sum((powers[lid] for lid in link_ids), Fraction(0))

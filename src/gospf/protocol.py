@@ -109,7 +109,6 @@ class GospfNode:
         self._seq = 0
         self._hops = bfs_hop_counts(topology, node_id)
         self._routing: RoutingTable | None = None
-        self.view_version = 0
 
     # ------------------------------------------------------------------ util
 
@@ -126,7 +125,6 @@ class GospfNode:
 
     def _invalidate_routing(self) -> None:
         self._routing = None
-        self.view_version += 1
 
     def routing_table(self) -> RoutingTable:
         if self._routing is None:

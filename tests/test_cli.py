@@ -1,7 +1,10 @@
 import pytest
 
+from gospf import engine
 from gospf.cli import main
-from gospf.graph import bundled_topology_text
+from gospf.config import parse_config
+from gospf.engine import Scenario
+from gospf.graph import bundled_topology_text, parse_topology
 from gospf.traffic import parse_traffic
 
 SMALL_TOPO = """\
@@ -94,6 +97,35 @@ def test_compare_gospf_vs_baseline(small_files, tmp_path):
     assert saving > 0
 
 
+def test_run_reports_unknown_config_key(small_files, tmp_path, capsys):
+    topo, traffic, _config = small_files
+    config = tmp_path / "seed.conf"
+    config.write_text("seed=1\n")
+    code = run_cli("run", "--topology", topo, "--traffic", traffic,
+                   "--config", config, "--out", tmp_path / "out")
+    assert code == 2
+    assert "line 1: unknown key 'seed'" in capsys.readouterr().err
+
+
+def test_compare_cli_matches_in_memory_compare(small_files, tmp_path):
+    topo, traffic, config = small_files
+    for mode in ("gospf", "baseline"):
+        assert run_cli("run", "--topology", topo, "--traffic", traffic,
+                       "--config", config, "--mode", mode,
+                       "--out", tmp_path / mode) == 0
+    assert run_cli("compare", tmp_path / "gospf", tmp_path / "baseline",
+                   "--out", tmp_path) == 0
+
+    cfg = parse_config(config.read_text())
+    topology = parse_topology(topo.read_text())
+    matrix = parse_traffic(traffic.read_text(), horizon=cfg.horizon)
+    gospf, baseline = (
+        engine.run(Scenario(topology, matrix, parse_config(f"mode={mode}", cfg))).metrics
+        for mode in ("gospf", "baseline"))
+    assert (tmp_path / "comparison.txt").read_text() == \
+        engine.compare(gospf, baseline).text()
+
+
 def test_compare_rejects_malformed_summary(small_files, tmp_path, capsys):
     topo, traffic, config = small_files
     assert run_cli("run", "--topology", topo, "--traffic", traffic,
@@ -106,6 +138,21 @@ def test_compare_rejects_malformed_summary(small_files, tmp_path, capsys):
     code = run_cli("compare", tmp_path / "good", bad, "--out", tmp_path)
     assert code != 0
     assert "lacks" in capsys.readouterr().err
+
+
+def test_compare_rejects_non_numeric_summary_value(small_files, tmp_path, capsys):
+    topo, traffic, config = small_files
+    assert run_cli("run", "--topology", topo, "--traffic", traffic,
+                   "--config", config, "--out", tmp_path / "good") == 0
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    text = (tmp_path / "good" / "summary.txt").read_text()
+    (bad / "summary.txt").write_text(text.replace("loss_pct=", "loss_pct=x"))
+    code = run_cli("compare", tmp_path / "good", bad, "--out", tmp_path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("gospf: error:")
+    assert "Traceback" not in err
 
 
 def test_compare_mismatched_scenarios_fails(small_files, tmp_path, capsys):
@@ -233,6 +280,7 @@ def test_run_outputs_deterministic(small_files, tmp_path):
     "control_msg_bytes=-5", "tcp_burst_frac=-0.01", "tcp_burst_frac=nan",
     "tcp_burst_frac=inf", "p_active=-1", "p_active=nan", "p_idle=-0.8",
     "p_idle=inf", "p_sleep=-0.016", "p_sleep=nan", "e_c=-1", "e_c=inf",
+    "seed=1", "horizon=1e300", "t_sample=1e-300",
 ])
 def test_run_rejects_out_of_domain_config(small_files, tmp_path, capsys, line):
     topo, traffic, _config = small_files

@@ -125,13 +125,18 @@ def test_lscup_adjacent_sleeps_and_refloods():
 def test_lscup_nonadjacent_updates_matrix_and_refloods():
     topo = chain_topology()
     node = build_node(topo, 5)
-    before = node.view_version
+
+    def crosses_link_5(table):
+        return any(topo.link_between(u, v) == 5
+                   for path in table.paths.values() for u, v in zip(path, path[1:]))
+
+    assert crosses_link_5(node.routing_table())  # 5-3-1 is the route to 1
     msg = ControlMessage(MessageKind.LSCUP, origin=1, seq=0, links=(5,))
     out = node.handle_message(0.2, msg, arrival_link=4)
     # link 5 endpoints (1, 3): node 3 is one hop from node 5 via chord 7
     assert node.matrix[1] == {5}
     assert 5 not in node.active_view
-    assert node.view_version > before
+    assert not crosses_link_5(node.routing_table())
     assert out
 
 
