@@ -1,5 +1,6 @@
 """Interface operational states, per-interface energy accounting, and thresholds."""
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -82,26 +83,6 @@ class EnergyAccount:
             self.t_sleep += duration
             self.energy_j += self.p_sleep * duration
 
-    def accrue_window(self, t_busy: float, window: float) -> None:
-        """Charge one sampling window under the current state: `window`
-        seconds asleep, or `t_busy` active plus the rest idle. Same
-        additions, in the same order, as the equivalent `accrue` calls."""
-        if self.state is OperationalState.SLEEP:
-            if window < 0:
-                raise NegativeDuration(f"duration {window} < 0")
-            self.t_sleep += window
-            self.energy_j += self.p_sleep * window
-            return
-        if t_busy < 0:
-            raise NegativeDuration(f"duration {t_busy} < 0")
-        self.t_active += t_busy
-        self.energy_j += self.p_active * t_busy
-        t_idle = window - t_busy
-        if t_idle < 0:
-            raise NegativeDuration(f"duration {t_idle} < 0")
-        self.t_idle += t_idle
-        self.energy_j += self.p_idle * t_idle
-
     def record_wakeup(self) -> None:
         """Sleep-to-idle transition: bump the switch counter and pay e_c."""
         if self.state is not OperationalState.SLEEP:
@@ -116,6 +97,53 @@ class EnergyAccount:
     @property
     def elapsed(self) -> float:
         return self.t_active + self.t_idle + self.t_sleep
+
+
+@dataclass
+class ChargePlan:
+    """One sampling window's state-time and energy increments per account,
+    computed once and applied to every window that repeats it.
+
+    `awake` holds (account, t_busy, p_active*t_busy, t_idle, p_idle*t_idle)
+    and `asleep` holds (account, window, p_sleep*window). Applying the plan
+    makes the same additions, in the same order, as the equivalent `accrue`
+    calls; the two energy additions stay separate because one pre-summed
+    addition rounds differently.
+    """
+
+    awake: list[tuple[EnergyAccount, float, float, float, float]]
+    asleep: list[tuple[EnergyAccount, float, float]]
+
+    def apply(self) -> None:
+        for acct, t_busy, e_busy, t_idle, e_idle in self.awake:
+            acct.t_active += t_busy
+            acct.energy_j += e_busy
+            acct.t_idle += t_idle
+            acct.energy_j += e_idle
+        for acct, window, e_sleep in self.asleep:
+            acct.t_sleep += window
+            acct.energy_j += e_sleep
+
+
+def plan_window(charges: Iterable[tuple[EnergyAccount, float]], window: float) -> ChargePlan:
+    """Plan one window for (account, t_busy) pairs under each account's
+    current state: `window` seconds asleep, or `t_busy` active plus the
+    rest idle."""
+    if window < 0:
+        raise NegativeDuration(f"duration {window} < 0")
+    awake = []
+    asleep = []
+    for acct, t_busy in charges:
+        if acct.state is OperationalState.SLEEP:
+            asleep.append((acct, window, acct.p_sleep * window))
+            continue
+        if t_busy < 0:
+            raise NegativeDuration(f"duration {t_busy} < 0")
+        t_idle = window - t_busy
+        if t_idle < 0:
+            raise NegativeDuration(f"duration {t_idle} < 0")
+        awake.append((acct, t_busy, acct.p_active * t_busy, t_idle, acct.p_idle * t_idle))
+    return ChargePlan(awake, asleep)
 
 
 def utilization(bits: float, line_rate: float, window: float) -> float:

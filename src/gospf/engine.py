@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 from .config import ConfigError, ScenarioConfig
 from .energy import (EnergyAccount, OperationalState, UtilizationSample,
-                     total_network_energy)
-from .graph import (DisconnectedTopology, RoutingTable, Topology, bfs_hop_counts,
-                    is_connected, shortest_paths, write_topology)
+                     plan_window, total_network_energy)
+from .graph import (DisconnectedTopology, RoutingTable, SpanningTree, Topology,
+                    bfs_hop_counts, is_connected, shortest_paths, write_topology)
 from .protocol import GospfNode, ProtocolHooks, Transmission
 from .traffic import TrafficMatrix, allocate, write_traffic
 
@@ -209,6 +209,9 @@ class AlwaysOn:
     def resetting(self) -> bool:
         return False
 
+    def next_action_time(self) -> float:
+        return math.inf
+
 
 class GospfController(ProtocolHooks):
     """GOSPF: one GospfNode per router, ticked in ascending node id. Acts as
@@ -218,6 +221,11 @@ class GospfController(ProtocolHooks):
     def __init__(self, run: "_Run"):
         self.run = run
         cfg = run.cfg
+        # One spanning tree per failed-link set, shared by every node.
+        self.trees: dict[frozenset[int], SpanningTree] = {}
+        # -inf while something happened since the last tick; see
+        # next_action_time().
+        self.next_action = -math.inf
         self.nodes = {nid: GospfNode(
             nid, run.topology, gamma_u=cfg.gamma_u, gamma_l=cfg.gamma_l,
             safeguard_interval=cfg.safeguard, mcst_reset_timer=cfg.mcst_reset_timer,
@@ -232,6 +240,7 @@ class GospfController(ProtocolHooks):
 
     def record_event(self, t, node, event, link, seq):
         self.run.events.append(f"t={t:.6f} node={node} event={event} link={link} seq={seq}")
+        self.next_action = -math.inf
         if event == "CONGESTION_UNRESOLVED":
             self.run.congestion_unresolved += 1
 
@@ -243,20 +252,31 @@ class GospfController(ProtocolHooks):
         self.run.accounts[(link, node)].enter_sleep()
         self.run.active = None
 
+    def spanning_tree(self, topology: Topology, exclude: frozenset[int]) -> SpanningTree:
+        tree = self.trees.get(exclude)
+        if tree is None:
+            tree = self.trees[exclude] = super().spanning_tree(topology, exclude)
+        return tree
+
     def fail(self, lid: int) -> None:
         for side in self.run.topology.links[lid].endpoints():
             self.nodes[side].notice_link_failure(lid)
+        self.next_action = -math.inf
 
     def start_window(self, w: int, t0: float) -> dict[int, float]:
         """Finish the tree resets that are due; returns, and clears, the
         control bits the previous window's floods put on each link."""
         for node in self.nodes.values():
+            if node.reset_until is None:
+                continue
             try:
                 node.complete_reset_if_due(t0)
             except DisconnectedTopology as exc:
                 raise DisconnectedTopology(
                     f"window {w}: link failures partitioned the "
                     f"network; no spanning tree survives") from exc
+            if node.reset_until is None:
+                self.next_action = -math.inf
         pending, self.pending_ctrl_bits = self.pending_ctrl_bits, {}
         return pending
 
@@ -271,6 +291,7 @@ class GospfController(ProtocolHooks):
     def tick(self, t1: float, samples: dict[int, UtilizationSample]) -> int:
         """Periodic checks, then drain the resulting floods; returns the
         control bytes sent."""
+        self.next_action = math.inf
         ctrl_bytes = 0
         for node in self.nodes.values():
             for tx in node.sample_tick(t1, samples):
@@ -280,10 +301,20 @@ class GospfController(ProtocolHooks):
             for out in self.nodes[receiver].handle_message(
                     arrival, tx.message, arrival_link=tx.link_id):
                 ctrl_bytes += self._send(arrival, out)
+        if self.next_action == math.inf:
+            self.next_action = min(node.next_safeguard_expiry(t1)
+                                   for node in self.nodes.values())
         return ctrl_bytes
 
     def resetting(self) -> bool:
         return any(node.reset_until is not None for node in self.nodes.values())
+
+    def next_action_time(self) -> float:
+        """-inf after any send, event, failure or reset completion since the
+        last tick. After a tick that sent and recorded nothing, the earliest
+        time at which a node's safeguard comparisons change; a tick that
+        ends before it, on the same samples, repeats that tick exactly."""
+        return self.next_action
 
     def _send(self, send_time: float, tx: Transmission) -> int:
         """Queue a transmission; returns its size in bytes."""
@@ -354,7 +385,14 @@ class _Run:
         """Step every window. Per-window results whose inputs did not change
         since the previous window (allocation, link samples, busy times,
         connectivity verdicts) are reused, not recomputed; the float
-        operations that reach the outputs run in the same order either way."""
+        operations that reach the outputs run in the same order either way.
+
+        A window that repeats a steady one is replayed: the previous window
+        recorded no events, applied no failure and had no control bits in or
+        out; this window applies no failure, gets no control bits, has the
+        same rates, and ends before the controller's next action time. Its
+        tick would repeat the previous tick exactly, so it is not run; the
+        window's energy comes from the previous window's charge plan."""
         cfg = self.cfg
         ts = cfg.t_sample
         ctrl = self.controller
@@ -374,6 +412,8 @@ class _Run:
         prev_alloc_key = None
         alloc = None
         prev_link_bits = None
+        prev_rates = None
+        steady = False
         samples: dict[int, UtilizationSample] = {}
         busy: list[float] = []
         surviving_connected = is_connected(self.topology, all_links)
@@ -398,54 +438,64 @@ class _Run:
             if failed_this_window:
                 surviving_connected = is_connected(self.topology, all_links - self.failed)
             ctrl_bits = ctrl.start_window(w, t0)
-
-            # Demands and fluid allocation on the currently believed routes.
             rates = traffic.demand_at(t0, ts, cfg.tcp_burst_frac)
-            usable = self._ground_truth_active()
-            flow_paths = []
-            for fid, rate in rates.items():
-                if rate <= 0:
-                    continue
-                flow = traffic.flows[fid]
-                path = ctrl.routing_for(flow.src).paths.get(flow.dst)
-                flow_paths.append((fid, rate, path))
-            # allocate() is a pure function of these inputs: the capacities,
-            # window and link lookup are fixed for the run.
-            alloc_key = (flow_paths, usable)
-            if alloc_key != prev_alloc_key:
-                alloc = allocate(flow_paths, capacities, usable, ts,
-                                 self.topology.link_between)
-                prev_alloc_key = alloc_key
 
-            # Interface bit counters: data plus last window's control traffic.
-            link_bits = dict(alloc.link_bits)
-            for lid, bits in ctrl_bits.items():
-                link_bits[lid] = link_bits.get(lid, 0.0) + bits
-            if link_bits != prev_link_bits:
-                busy = [min(ts, link_bits.get(lid, 0.0) / cap)
-                        for lid, cap, _acct_a, _acct_b in self.link_accounts]
-                samples = {
-                    lid: UtilizationSample(bits=link_bits.get(lid, 0.0),
-                                           line_rate=cap, window=ts)
-                    for lid, cap, _acct_a, _acct_b in self.link_accounts}
-                prev_link_bits = link_bits
+            if (steady and not failed_this_window and not ctrl_bits
+                    and rates == prev_rates and t1 < ctrl.next_action_time()):
+                plan.apply()
+                ctrl_bytes = 0
+            else:
+                # Demands and fluid allocation on the currently believed routes.
+                usable = self._ground_truth_active()
+                flow_paths = []
+                for fid, rate in rates.items():
+                    if rate <= 0:
+                        continue
+                    flow = traffic.flows[fid]
+                    path = ctrl.routing_for(flow.src).paths.get(flow.dst)
+                    flow_paths.append((fid, rate, path))
+                # allocate() is a pure function of these inputs: the
+                # capacities, window and link lookup are fixed for the run.
+                alloc_key = (flow_paths, usable)
+                if alloc_key != prev_alloc_key:
+                    alloc = allocate(flow_paths, capacities, usable, ts,
+                                     self.topology.link_between)
+                    prev_alloc_key = alloc_key
 
-            # Energy for this window under the states in force during it.
-            for (_lid, _cap, acct_a, acct_b), t_busy in zip(self.link_accounts, busy):
-                acct_a.accrue_window(t_busy, ts)
-                acct_b.accrue_window(t_busy, ts)
+                # Interface bit counters: data plus last window's control traffic.
+                link_bits = dict(alloc.link_bits)
+                for lid, bits in ctrl_bits.items():
+                    link_bits[lid] = link_bits.get(lid, 0.0) + bits
+                if link_bits != prev_link_bits:
+                    busy = [min(ts, link_bits.get(lid, 0.0) / cap)
+                            for lid, cap, _acct_a, _acct_b in self.link_accounts]
+                    samples = {
+                        lid: UtilizationSample(bits=link_bits.get(lid, 0.0),
+                                               line_rate=cap, window=ts)
+                        for lid, cap, _acct_a, _acct_b in self.link_accounts}
+                    prev_link_bits = link_bits
 
-            # Protocol checks at the window end, floods drained.
-            ctrl_bytes = ctrl.tick(t1, samples)
+                # Energy for this window under the states in force during it.
+                plan = plan_window(
+                    ((acct, t_busy)
+                     for (_lid, _cap, acct_a, acct_b), t_busy in zip(self.link_accounts, busy)
+                     for acct in (acct_a, acct_b)), ts)
+                plan.apply()
 
-            # Every distinct active set is checked once, in the first window
-            # that ends with it.
-            active = self._ground_truth_active()
-            if active is not checked_active:
-                if surviving_connected and not is_connected(self.topology, active):
-                    raise AssertionError(
-                        f"window {w}: active link set no longer spans the network")
-                checked_active = active
+                # Protocol checks at the window end, floods drained.
+                ctrl_bytes = ctrl.tick(t1, samples)
+
+                # Every distinct active set is checked once, in the first
+                # window that ends with it.
+                active = self._ground_truth_active()
+                if active is not checked_active:
+                    if surviving_connected and not is_connected(self.topology, active):
+                        raise AssertionError(
+                            f"window {w}: active link set no longer spans the network")
+                    checked_active = active
+
+                quiet = (len(self.events) == events_before and not failed_this_window
+                         and not ctrl.resetting())
 
             # Wake transition costs charged by the ticks land in this window.
             new_total = total_network_energy(self.accounts.values())
@@ -463,14 +513,15 @@ class _Run:
             metrics.delivered_bits_total += alloc.delivered_bits
             metrics.dropped_bits_total += alloc.dropped_bits
             metrics.ctrl_bytes_total += ctrl_bytes
-
-            quiet = (len(self.events) == events_before and not failed_this_window
-                     and not ctrl.resetting())
             metrics.quiesced.append(quiet)
 
             if states is not None:
                 states.append(WindowState(active=active, flows={
                     fid: (path, rate) for fid, rate, path in flow_paths}))
+
+            steady = (len(self.events) == events_before and not failed_this_window
+                      and not ctrl_bits and ctrl_bytes == 0)
+            prev_rates = rates
 
         metrics.congestion_unresolved = self.congestion_unresolved
         return RunResult(metrics=metrics, events=self.events, states=states,

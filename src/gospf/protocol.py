@@ -70,6 +70,12 @@ class ProtocolHooks:
     def interface_slept(self, t: float, node: int, link: int) -> None:
         pass
 
+    def spanning_tree(self, topology: Topology, exclude: frozenset[int]) -> SpanningTree:
+        """The shared tree over the links not in `exclude`. Every node
+        computes the same tree from the same inputs, so an engine that
+        hosts many nodes may hand out one copy per failed-link set."""
+        return compute_mcst(topology, exclude=exclude)
+
 
 class GospfNode:
     """Sequential per-router state machine. The engine delivers ticks and
@@ -91,7 +97,7 @@ class GospfNode:
         self.hooks = hooks or ProtocolHooks()
 
         self.failed: set[int] = set()
-        self.mcst: SpanningTree = compute_mcst(topology)
+        self.mcst: SpanningTree = self.hooks.spanning_tree(topology, frozenset())
         self.active_view: set[int] = set(topology.links)
         self._local_links: tuple[int, ...] = topology.incident(node_id)
         self.iface_state: dict[int, OperationalState] = {}
@@ -109,6 +115,9 @@ class GospfNode:
         self._seq = 0
         self._hops = bfs_hop_counts(topology, node_id)
         self._routing: RoutingTable | None = None
+        # The current and the previous (view, table) pair: the midday
+        # cut/graft oscillation flips between two views.
+        self._route_memo: dict[frozenset[int], RoutingTable] = {}
 
     # ------------------------------------------------------------------ util
 
@@ -128,14 +137,28 @@ class GospfNode:
 
     def routing_table(self) -> RoutingTable:
         if self._routing is None:
-            self._routing = shortest_paths(self.topology, frozenset(self.active_view),
-                                           self.node_id, self.ref_bandwidth)
+            view = frozenset(self.active_view)
+            memo = self._route_memo
+            table = memo.pop(view, None)
+            if table is None:
+                table = shortest_paths(self.topology, view, self.node_id,
+                                       self.ref_bandwidth)
+                if len(memo) == 2:
+                    del memo[next(iter(memo))]
+            memo[view] = table
+            self._routing = table
         return self._routing
+
+    def next_safeguard_expiry(self, now: float) -> float:
+        """The earliest time after `now` at which sample_tick's safeguard
+        comparisons change their outcome, or inf when none will."""
+        return min((s - _EPS for s in self.safeguard.values() if s - _EPS > now),
+                   default=math.inf)
 
     def flood(self, message: ControlMessage, arrival_link: int | None = None):
         """Copies of `message` for every awake interface except the arrival one."""
         out = []
-        for lid in sorted(self.iface_state):
+        for lid in self._local_links:
             if lid == arrival_link or lid in self.failed:
                 continue
             if self.iface_state[lid] is OperationalState.SLEEP:
@@ -318,7 +341,7 @@ class GospfNode:
         """Wake everything except the failed link, forget cut/safeguard state,
         and schedule the tree recomputation."""
         self.failed.add(failed_link)
-        for lid in sorted(self.iface_state):
+        for lid in self._local_links:
             if lid in self.failed:
                 if lid == failed_link:
                     self._sleep_interface(now, lid)
@@ -343,7 +366,7 @@ class GospfNode:
         if self.reset_until is None or now < self.reset_until - _EPS:
             return
         self.reset_until = None
-        self.mcst = compute_mcst(self.topology, exclude=frozenset(self.failed))
+        self.mcst = self.hooks.spanning_tree(self.topology, frozenset(self.failed))
         for lid in self.iface_state:
             if lid in self.failed:
                 continue

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import gospf.protocol
 from gospf.config import ConfigError, ScenarioConfig, parse_config
-from gospf.energy import EnergyAccount, NegativeDuration, OperationalState
+from gospf.energy import (EnergyAccount, NegativeDuration, OperationalState,
+                          plan_window)
 from gospf.engine import (MetricsSeries, MismatchedScenarios, Scenario,
                           compare, run)
 from gospf.graph import compute_mcst
@@ -337,12 +339,16 @@ def test_accrue_window_matches_accrue_bit_for_bit(state):
     one = EnergyAccount(p_active=1.3, p_idle=0.7, p_sleep=0.011, state=state)
     two = EnergyAccount(p_active=1.3, p_idle=0.7, p_sleep=0.011, state=state)
     for t_busy in (0.0, 0.1, 1 / 30, 0.2, 0.07000000000000001, 0.19999999999999998):
-        one.accrue_window(t_busy, window)
+        plan = plan_window([(one, t_busy)], window)
+        plan.apply()
+        plan.apply()  # a replayed window applies the same plan again
         if state is OperationalState.SLEEP:
             two.accrue(OperationalState.SLEEP, window)
+            two.accrue(OperationalState.SLEEP, window)
         else:
-            two.accrue(OperationalState.ACTIVE, t_busy)
-            two.accrue(OperationalState.IDLE, window - t_busy)
+            for _ in range(2):
+                two.accrue(OperationalState.ACTIVE, t_busy)
+                two.accrue(OperationalState.IDLE, window - t_busy)
     assert one == two
     fields = ("t_active", "t_idle", "t_sleep", "energy_j")
     assert [getattr(one, f).hex() for f in fields] == \
@@ -352,20 +358,23 @@ def test_accrue_window_matches_accrue_bit_for_bit(state):
 def test_accrue_window_rejects_negative_durations():
     awake = EnergyAccount(p_active=1.0, p_idle=0.8, p_sleep=0.016)
     with pytest.raises(NegativeDuration):
-        awake.accrue_window(-0.1, 0.2)
+        plan_window([(awake, -0.1)], 0.2)
     with pytest.raises(NegativeDuration):
-        awake.accrue_window(0.3, 0.2)  # idle share would be negative
+        plan_window([(awake, 0.3)], 0.2)  # idle share would be negative
     asleep = EnergyAccount(p_active=1.0, p_idle=0.8, p_sleep=0.016,
                            state=OperationalState.SLEEP)
     with pytest.raises(NegativeDuration):
-        asleep.accrue_window(0.0, -0.2)
+        plan_window([(asleep, 0.0)], -0.2)
 
 
 def test_forced_bridge_sleep_breaks_the_spanning_invariant(monkeypatch):
     # Link 4 is the only link to node 4. Sleeping it mid-run through the
     # protocol hooks must drop the engine's cached active set, so the
-    # connectivity check sees the new set and fails.
+    # connectivity check sees the new set and fails. The rate step at t=3
+    # makes the window that ends at 3.2 tick; steady windows are replayed
+    # without a tick.
     topo = make_topology([(1, 2), (2, 3), (3, 1), (3, 4)], 1e7)
+    flow = constant_flow(1, 1, 2, 1e5, start=3.0)
     original = GospfNode.sample_tick
 
     def sample_tick(node, now, samples):
@@ -375,4 +384,58 @@ def test_forced_bridge_sleep_breaks_the_spanning_invariant(monkeypatch):
 
     monkeypatch.setattr(GospfNode, "sample_tick", sample_tick)
     with pytest.raises(AssertionError, match="no longer spans"):
-        run(scenario(topo, horizon=10.0))
+        run(scenario(topo, TrafficMatrix([flow], 10.0), horizon=10.0))
+
+
+# ------------------------------------------------------ steady-window replay
+
+def safeguard_expiry_scenario():
+    # The chord cut at t=0.2 is grafted back at t=1.2 with expiry 3.4; the
+    # load falls at t=1.4, and the windows up to the expiry are quiet.
+    # Only the safeguard expiry lets the chord be cut again, at t=3.4.
+    topo = make_topology([(1, 2), (2, 3), (1, 3)], 1e7)
+    flow = stepped_flow(1, 1, 3, [(0.0, 1e5), (1.0, 9e6), (1.4, 1e5)])
+    return scenario(topo, TrafficMatrix([flow], 6.0), horizon=6.0)
+
+
+# Digest recorded before steady windows were replayed.
+def test_golden_cut_after_safeguard_expiry():
+    result = run(safeguard_expiry_scenario())
+    cuts = [line for line in result.events if "event=CUT link=3" in line]
+    assert [line.split()[0] for line in cuts] == ["t=0.200000"] * 2 + ["t=3.400000"] * 2
+    assert output_digest(result) == \
+        "ccbee4760443fb9e2fbf2b37bebe716c1b14c4bcd5ca8086910dc82843d91a09"
+
+
+def test_steady_windows_run_no_protocol_tick(garr48, monkeypatch):
+    # With no traffic, window 0 cuts to the tree, window 1 carries the
+    # floods' control bits and window 2 is the first steady one; every
+    # later window repeats it and must be replayed without ticking.
+    ticks = []
+    original = GospfNode.sample_tick
+
+    def sample_tick(node, now, samples):
+        ticks.append(now)
+        return original(node, now, samples)
+
+    monkeypatch.setattr(GospfNode, "sample_tick", sample_tick)
+    result = run(scenario(garr48, horizon=10.0))
+    assert result.metrics.ctrl_bytes[0] > 0
+    assert sorted(set(ticks)) == [0.2, 0.4, 0.6000000000000001]
+    assert len(ticks) == 3 * len(garr48.nodes)
+    assert len(result.metrics.times) == 50
+
+
+def test_one_spanning_tree_per_failed_link_set(garr48, monkeypatch):
+    calls = []
+    original = gospf.protocol.compute_mcst
+
+    def compute_mcst(topology, exclude=frozenset()):
+        calls.append(exclude)
+        return original(topology, exclude=exclude)
+
+    monkeypatch.setattr(gospf.protocol, "compute_mcst", compute_mcst)
+    sc = tree_failure_scenario(garr48)
+    result = run(sc)
+    assert "event=RESET" in event_kinds(result)
+    assert calls == [frozenset(), frozenset({lid for _t, lid in sc.link_failures})]

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
+import gospf.protocol
 from gospf.energy import (InterfaceRole, OperationalState, UtilizationSample)
-from gospf.graph import is_connected
+from gospf.graph import is_connected, shortest_paths
 from gospf.protocol import (ControlMessage, GospfNode, MessageKind,
                             ProtocolHooks)
 
@@ -219,6 +222,51 @@ def test_safeguard_blocks_recut_until_expiry():
     out = node.sample_tick(2.4, quiet)  # 0.2 + 2.0 + 0.2 slack elapsed
     assert any(tx.message.kind is MessageKind.LSCUP for tx in out)
     assert node.iface_state[5] is OperationalState.SLEEP
+
+
+def test_next_safeguard_expiry_is_the_first_tick_that_may_recut():
+    topo = chain_topology()
+    node = build_node(topo, 1)
+    assert node.next_safeguard_expiry(0.0) == math.inf
+    populate_matrix(node, (5, 6, 7))
+    node.sample_tick(0.2, samples_for(node, {1: 0.95, 5: 0.0}))
+    quiet = samples_for(node, {1: 0.5, 5: 0.0})
+    expiry = node.next_safeguard_expiry(0.4)
+    assert 0.4 < expiry < node.safeguard[5]
+    assert node.sample_tick(math.nextafter(expiry, 0.0), quiet) == []
+    out = node.sample_tick(expiry, quiet)
+    assert any(tx.message.kind is MessageKind.LSCUP for tx in out)
+    assert node.next_safeguard_expiry(expiry) == math.inf
+
+
+def test_routing_memo_keeps_current_and_previous_view(monkeypatch):
+    topo = chain_topology()
+    node = build_node(topo, 1)
+    calls = []
+    original = gospf.protocol.shortest_paths
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gospf.protocol, "shortest_paths", counted)
+
+    def check_table():
+        fresh = original(topo, frozenset(node.active_view), 1, node.ref_bandwidth)
+        assert node.routing_table().paths == fresh.paths
+        assert len(node._route_memo) <= 2
+
+    check_table()
+    populate_matrix(node, (5, 6, 7))  # cut
+    check_table()
+    node.sample_tick(0.2, samples_for(node, {1: 0.95, 5: 0.0}))  # graft 5
+    assert 5 in node.active_view
+    check_table()
+    out = node.sample_tick(2.4, samples_for(node, {1: 0.5, 5: 0.0}))  # cut 5 again
+    assert any(tx.message.kind is MessageKind.LSCUP for tx in out)
+    views_computed = len(calls)
+    check_table()
+    assert len(calls) == views_computed  # the view before the graft is memoised
 
 
 def test_lsgup_on_active_link_is_idempotent():
