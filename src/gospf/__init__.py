@@ -3,17 +3,14 @@ simulator, plus an exact solver for the underlying network-design problem."""
 
 from .config import ConfigError, ScenarioConfig, parse_config
 from .energy import (EnergyAccount, InterfaceRole, OperationalState,
-                     UtilizationClass, UtilizationSample, classify,
-                     total_network_energy, utilization)
+                     UtilizationClass, classify, total_network_energy)
 from .engine import (MetricsSeries, MismatchedScenarios, RunResult,
                      SavingReport, Scenario, compare, run)
 from .graph import (DisconnectedTopology, Link, RoutingTable, SpanningTree,
-                    Topology, TopologyError, compute_mcst, hop_distance,
-                    is_connected, parse_topology, shortest_paths,
-                    write_topology)
+                    Topology, TopologyError, compute_mcst, is_connected,
+                    parse_topology, shortest_paths, write_topology)
 from .oracle import (CmndInstance, CmndSolution, Demand, Infeasible,
-                     InstanceTooLarge, heuristic_gap, make_demand,
-                     solve_static, solve_time_expanded)
+                     InstanceTooLarge, heuristic_gap, solve_static)
 from .protocol import ControlMessage, GospfNode, MessageKind, Transmission
 from .traffic import (Flow, TrafficError, TrafficMatrix, allocate,
                       generate_traffic, parse_traffic, write_traffic)

@@ -21,14 +21,6 @@ class InvalidThresholds(EnergyError):
     pass
 
 
-class ZeroWindow(EnergyError):
-    pass
-
-
-class ZeroRate(EnergyError):
-    pass
-
-
 class OperationalState(Enum):
     ACTIVE = "active"
     IDLE = "idle"
@@ -94,10 +86,6 @@ class EnergyAccount:
     def enter_sleep(self) -> None:
         self.state = OperationalState.SLEEP
 
-    @property
-    def elapsed(self) -> float:
-        return self.t_active + self.t_idle + self.t_sleep
-
 
 @dataclass
 class ChargePlan:
@@ -146,23 +134,9 @@ def plan_window(charges: Iterable[tuple[EnergyAccount, float]], window: float) -
     return ChargePlan(awake, asleep)
 
 
-def utilization(bits: float, line_rate: float, window: float) -> float:
-    """Utilization ratio in [0, 1]: bits handled over line_rate*window."""
-    if line_rate <= 0:
-        raise ZeroRate(f"line rate {line_rate} <= 0")
-    if window <= 0:
-        raise ZeroWindow(f"window {window} <= 0")
-    return min(1.0, max(0.0, bits / (line_rate * window)))
-
-
 def classify(u_r: float, gamma_u: float, gamma_l: float) -> UtilizationClass:
-    """Overutilized above gamma_u, underutilized below gamma_l, else normal."""
-    validate_thresholds(gamma_u, gamma_l)
-    return _classify(u_r, gamma_u, gamma_l)
-
-
-def _classify(u_r: float, gamma_u: float, gamma_l: float) -> UtilizationClass:
-    # Hot path: thresholds already validated by the caller.
+    """Overutilized above gamma_u, underutilized below gamma_l, else normal.
+    The thresholds are checked once, by validate_thresholds."""
     if u_r > gamma_u:
         return UtilizationClass.OVERUTILIZED
     if u_r < gamma_l:
@@ -179,16 +153,3 @@ def validate_thresholds(gamma_u: float, gamma_l: float) -> None:
 def total_network_energy(accounts) -> float:
     """Sum of accumulated energy over all interface accounts."""
     return sum(acct.energy_j for acct in accounts)
-
-
-@dataclass(frozen=True)
-class UtilizationSample:
-    """Bits handled by one interface during one sampling window."""
-
-    bits: float
-    line_rate: float
-    window: float
-
-    @property
-    def u_r(self) -> float:
-        return utilization(self.bits, self.line_rate, self.window)

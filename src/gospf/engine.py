@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .config import ConfigError, ScenarioConfig
-from .energy import (EnergyAccount, OperationalState, UtilizationSample,
-                     plan_window, total_network_energy)
+from .energy import EnergyAccount, OperationalState, plan_window, total_network_energy
 from .graph import (DisconnectedTopology, RoutingTable, SpanningTree, Topology,
                     bfs_hop_counts, is_connected, shortest_paths, write_topology)
 from .protocol import GospfNode, ProtocolHooks, Transmission
@@ -203,7 +202,7 @@ class AlwaysOn:
             self.tables[source] = table
         return table
 
-    def tick(self, t1: float, samples: dict[int, UtilizationSample]) -> int:
+    def tick(self, t1: float, samples: dict[int, float]) -> int:
         return 0
 
     def resetting(self) -> bool:
@@ -288,7 +287,7 @@ class GospfController(ProtocolHooks):
     def routing_for(self, source: int) -> RoutingTable:
         return self.nodes[source].routing_table()
 
-    def tick(self, t1: float, samples: dict[int, UtilizationSample]) -> int:
+    def tick(self, t1: float, samples: dict[int, float]) -> int:
         """Periodic checks, then drain the resulting floods; returns the
         control bytes sent."""
         self.next_action = math.inf
@@ -414,7 +413,7 @@ class _Run:
         prev_link_bits = None
         prev_rates = None
         steady = False
-        samples: dict[int, UtilizationSample] = {}
+        samples: dict[int, float] = {}  # per-link utilization
         busy: list[float] = []
         surviving_connected = is_connected(self.topology, all_links)
         checked_active = None
@@ -469,10 +468,8 @@ class _Run:
                 if link_bits != prev_link_bits:
                     busy = [min(ts, link_bits.get(lid, 0.0) / cap)
                             for lid, cap, _acct_a, _acct_b in self.link_accounts]
-                    samples = {
-                        lid: UtilizationSample(bits=link_bits.get(lid, 0.0),
-                                               line_rate=cap, window=ts)
-                        for lid, cap, _acct_a, _acct_b in self.link_accounts}
+                    samples = {lid: link_bits.get(lid, 0.0) / (cap * ts)
+                               for lid, cap, _acct_a, _acct_b in self.link_accounts}
                     prev_link_bits = link_bits
 
                 # Energy for this window under the states in force during it.

@@ -8,6 +8,7 @@ from the same inputs arrives at the same answer.
 """
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,21 +101,17 @@ class Topology:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Edge ids of a spanning tree plus its total inverse-capacity weight."""
+    """Edge ids of a spanning tree."""
 
     edges: frozenset[int]
-    weight: Fraction
 
 
 @dataclass
 class RoutingTable:
-    """Single shortest path per destination from one source node."""
+    """Single shortest path per reachable destination from one source node."""
 
     source: int
-    next_hop: dict[int, int]
-    cost: dict[int, float]
     paths: dict[int, tuple[int, ...]]
-    unreachable: frozenset[int]
 
 
 class _UnionFind:
@@ -153,16 +150,14 @@ def compute_mcst(topology: Topology, exclude: frozenset[int] = frozenset()) -> S
 
     uf = _UnionFind(topology.nodes)
     chosen: list[int] = []
-    total = Fraction(0)
-    for weight, lid, link in edges:
+    for _weight, lid, link in edges:
         if uf.union(link.a, link.b):
             chosen.append(lid)
-            total += weight
             if len(chosen) == len(topology.nodes) - 1:
                 break
     if len(chosen) != len(topology.nodes) - 1:
         raise DisconnectedTopology("graph does not span all nodes")
-    return SpanningTree(edges=frozenset(chosen), weight=total)
+    return SpanningTree(edges=frozenset(chosen))
 
 
 def bfs_hop_counts(topology: Topology, source: int,
@@ -180,30 +175,12 @@ def bfs_hop_counts(topology: Topology, source: int,
     return dist
 
 
-def hop_distance(topology: Topology, node: int, link_id: int,
-                 exclude: frozenset[int] = frozenset()) -> int:
-    """Hops from `node` to the nearer endpoint of a link on the full graph.
-
-    A link incident to `node` has distance 0.
-    """
-    if node not in topology.nodes:
-        raise TopologyError(f"unknown node {node}")
-    link = topology.links.get(link_id)
-    if link is None:
-        raise TopologyError(f"unknown link {link_id}")
-    hops = bfs_hop_counts(topology, node, exclude)
-    candidates = [hops[e] for e in link.endpoints() if e in hops]
-    if not candidates:
-        raise DisconnectedTopology(f"link {link_id} unreachable from node {node}")
-    return min(candidates)
-
-
 def shortest_paths(topology: Topology, active: frozenset[int] | set[int],
                    source: int, ref_bandwidth: float = 1e8) -> RoutingTable:
     """Dijkstra over the active links with OSPF-style cost ref_bandwidth/capacity.
 
     Among equal-cost routes the lexicographically smallest node-id sequence
-    wins, which both fixes the next hop deterministically and matches a
+    wins, which both fixes every path deterministically and matches a
     brute-force (cost, path) minimization.
     """
     best: dict[int, tuple[float, tuple[int, ...]]] = {source: (0.0, (source,))}
@@ -222,18 +199,8 @@ def shortest_paths(topology: Topology, active: frozenset[int] | set[int],
             if nbr not in best or cand < best[nbr]:
                 best[nbr] = cand
                 heapq.heappush(heap, cand)
-
-    next_hop: dict[int, int] = {}
-    costs: dict[int, float] = {}
-    paths: dict[int, tuple[int, ...]] = {}
-    for dest, (cost, path) in best.items():
-        costs[dest] = cost
-        paths[dest] = path
-        if dest != source:
-            next_hop[dest] = path[1]
-    unreachable = frozenset(n for n in topology.nodes if n not in best)
-    return RoutingTable(source=source, next_hop=next_hop, cost=costs,
-                        paths=paths, unreachable=unreachable)
+    return RoutingTable(source=source,
+                        paths={dest: path for dest, (_cost, path) in best.items()})
 
 
 def is_connected(topology: Topology, active: frozenset[int] | set[int]) -> bool:
@@ -287,6 +254,9 @@ def parse_topology(text: str, *, p_active: float = 1.0, p_idle: float = 0.8,
                     raise ValueError(f"link {lid} has non-positive capacity")
                 if len(parts) == 9:
                     pa, pi, ps, ec = (float(x) for x in parts[5:9])
+                    if not all(0.0 <= x < math.inf for x in (pa, pi, ps, ec)):
+                        raise ValueError(f"link {lid} power fields must be finite and "
+                                         f"non-negative, got {' '.join(parts[5:9])}")
                 else:
                     pa, pi, ps, ec = p_active, p_idle, p_sleep, e_c
                 links.append(Link(lid, a, b, float(capacity), pa, pi, ps, ec))

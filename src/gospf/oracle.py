@@ -34,7 +34,11 @@ class Demand:
     src: int
     dst: int
     volume: Fraction  # bits/s
-    period: int = 0
+
+
+def link_powers(topology: Topology) -> dict[int, Fraction]:
+    """Power of each link with both interfaces active."""
+    return {lid: 2 * Fraction(link.p_active) for lid, link in topology.links.items()}
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,6 @@ class CmndInstance:
     topology: Topology
     demands: tuple[Demand, ...]
     alpha: Fraction
-    costs: dict[int, Fraction] | None = None  # per link; default ref_bw/capacity
-    powers: dict[int, Fraction] | None = None  # per link; default 2 * p_active
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -56,16 +58,11 @@ class CmndInstance:
                 raise OracleError("demand endpoints must differ")
 
     def link_costs(self, ref_bandwidth: float = 1e8) -> dict[int, Fraction]:
-        if self.costs is not None:
-            return self.costs
         return {lid: Fraction(ref_bandwidth) / Fraction(link.capacity)
                 for lid, link in self.topology.links.items()}
 
     def link_powers(self) -> dict[int, Fraction]:
-        if self.powers is not None:
-            return self.powers
-        return {lid: 2 * Fraction(link.p_active)
-                for lid, link in self.topology.links.items()}
+        return link_powers(self.topology)
 
 
 @dataclass(frozen=True)
@@ -78,12 +75,6 @@ class CmndSolution:
     @property
     def objective(self) -> Fraction:
         return self.power_cost + self.routing_cost
-
-
-def make_demand(src: int, dst: int, volume, period: int = 0) -> Demand:
-    if isinstance(volume, str):
-        volume = float(volume)
-    return Demand(src, dst, Fraction(volume), period)
 
 
 def _lex_shortest_path(topology: Topology, active: frozenset[int], costs,
@@ -295,27 +286,6 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
     return best["solution"]
 
 
-def solve_time_expanded(instance: CmndInstance, *, max_links: int = 20,
-                        max_demands: int = 8,
-                        ref_bandwidth: float = 1e8) -> dict[int, CmndSolution]:
-    """Per-period optima of the time-expanded problem.
-
-    Periods couple only through the objective sum, so the optimum is the
-    concatenation of per-period static optima.
-    """
-    periods = sorted({d.period for d in instance.demands})
-    out: dict[int, CmndSolution] = {}
-    for period in periods:
-        sub = CmndInstance(
-            topology=instance.topology,
-            demands=tuple(d for d in instance.demands if d.period == period),
-            alpha=instance.alpha, costs=instance.costs, powers=instance.powers)
-        out[period] = solve_static(sub, max_links=max_links,
-                                   max_demands=max_demands,
-                                   ref_bandwidth=ref_bandwidth)
-    return out
-
-
 @dataclass
 class GapRow:
     window: int
@@ -353,8 +323,7 @@ def heuristic_gap(scenario: Scenario, *, max_links: int = 20, max_demands: int =
 
     result = run(scenario, capture_states=True)
     alpha = Fraction(scenario.config.alpha)
-    powers = {lid: 2 * Fraction(link.p_active)
-              for lid, link in scenario.topology.links.items()}
+    powers = link_powers(scenario.topology)
     cache = solution_cache if solution_cache is not None else {}
     rows: list[GapRow] = []
 
@@ -404,18 +373,3 @@ def gap_csv(rows: list[GapRow]) -> str:
         lines.append(f"{row.window},{row.heuristic_power!r},{row.optimal_power!r},"
                      f"{row.gap_ratio!r},{str(row.feasible).lower()}")
     return "\n".join(lines) + "\n"
-
-
-def parse_demands(text: str) -> tuple[Demand, ...]:
-    """Parse `demand <src> <dst> <bps> [<period>]` lines."""
-    demands = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "demand" or len(parts) not in (4, 5):
-            raise OracleError(f"line {lineno}: expected demand <src> <dst> <bps> [<period>]")
-        period = int(parts[4]) if len(parts) == 5 else 0
-        demands.append(make_demand(int(parts[1]), int(parts[2]), parts[3], period))
-    return tuple(demands)

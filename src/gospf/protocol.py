@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .energy import (InterfaceRole, OperationalState, UtilizationClass,
-                     UtilizationSample, _classify, validate_thresholds)
+from .energy import (InterfaceRole, OperationalState, UtilizationClass, classify,
+                     validate_thresholds)
 from .graph import (RoutingTable, SpanningTree, Topology, bfs_hop_counts,
                     compute_mcst, shortest_paths)
 
@@ -183,9 +183,10 @@ class GospfNode:
 
     # ---------------------------------------------------------------- events
 
-    def sample_tick(self, now: float, samples: dict[int, UtilizationSample]):
+    def sample_tick(self, now: float, samples: dict[int, float]):
         """Periodic check: handle failure news, then cut or graft per the
-        thresholds. `samples` may cover more links than this node owns.
+        thresholds. `samples` maps link ids to their utilization over the
+        window just ended and may cover more links than this node owns.
         Returns transmissions to send."""
         out = []
         while self.pending_failures:
@@ -205,9 +206,7 @@ class GospfNode:
                 continue
             if self.iface_state[lid] is OperationalState.SLEEP:
                 continue
-            s = samples[lid]
-            u_r = s.bits / (s.line_rate * s.window)
-            classes[lid] = _classify(u_r, self.gamma_u, self.gamma_l)
+            classes[lid] = classify(samples[lid], self.gamma_u, self.gamma_l)
             if (self.iface_role[lid] is InterfaceRole.MCST_GRAFT
                     and self.safeguard.get(lid, -math.inf) - _EPS <= now):
                 self.iface_role[lid] = InterfaceRole.MCST_UNCUT

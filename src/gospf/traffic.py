@@ -26,6 +26,9 @@ class Flow:
     schedule: list[tuple[float, float]] = field(default_factory=list)  # (t, bits/s)
 
     def add_step(self, t: float, rate: float) -> None:
+        if not (math.isfinite(t) and math.isfinite(rate)):
+            raise TrafficError(f"flow {self.flow_id}: non-finite breakpoint "
+                               f"t={t} rate={rate}")
         if rate < 0:
             raise TrafficError(f"flow {self.flow_id}: negative rate at t={t}")
         if self.schedule and t <= self.schedule[-1][0]:
@@ -72,37 +75,17 @@ class TrafficMatrix:
             raise TrafficError(f"flow {flow.flow_id}: src equals dst")
         self.flows[flow.flow_id] = flow
 
-    def demand_at(self, t: float, window: float | None = None,
-                  burst_frac: float = 0.01) -> dict[int, float]:
-        """Per-flow rate at time t. With `window` set, TCP flows carry their
+    def demand_at(self, t: float, window: float, burst_frac: float) -> dict[int, float]:
+        """Per-flow rate at time t, in flow-id order. TCP flows carry their
         signaling burst during the window following each rate increase."""
         if not (0 <= t <= self.horizon):
             raise OutOfHorizon(f"t={t} outside [0, {self.horizon}]")
-        rates = {}
-        for fid in sorted(self.flows):
-            flow = self.flows[fid]
-            rate = flow.rate_at(t)
-            if window is not None:
-                rate += flow.burst_at(t, window, burst_frac)
-            rates[fid] = rate
-        return rates
-
-
-@dataclass
-class LinkLoad:
-    """Offered, delivered, and dropped bits on one directed link per window."""
-
-    offered: float = 0.0
-    delivered: float = 0.0
-    dropped: float = 0.0
+        return {fid: flow.rate_at(t) + flow.burst_at(t, window, burst_frac)
+                for fid, flow in sorted(self.flows.items())}
 
 
 @dataclass
 class AllocationResult:
-    flow_delivered: dict[int, float]
-    flow_dropped: dict[int, float]
-    no_route: frozenset[int]
-    loads: dict[tuple[int, int], LinkLoad]  # directed (from, to) node pair
     link_bits: dict[int, float]  # per undirected link, both directions summed
     offered_bits: float
     delivered_bits: float
@@ -118,40 +101,32 @@ def allocate(flow_paths, capacities: dict[int, float], usable,
     flow crossing it is scaled by the same factor, and downstream links see
     only the surviving share. Links outside `usable` carry nothing (scale 0).
     """
-    walks = []  # (fid, bits, [(arc, link_id), ...])
-    no_route = set()
+    walks = []  # (bits, [(arc, link_id), ...])
     offered_total = 0.0
-    flow_delivered: dict[int, float] = {}
-    flow_dropped: dict[int, float] = {}
+    # Per-flow delivered and dropped bits: unroutable flows first, then the
+    # walks in order. The totals are summed in this order.
+    delivered: list[float] = []
+    dropped: list[float] = []
 
-    for fid, rate, path in flow_paths:
+    for _fid, rate, path in flow_paths:
         bits = rate * window
         offered_total += bits
         if path is None or len(path) < 2:
-            if bits > 0:
-                no_route.add(fid)
-            flow_delivered[fid] = 0.0
-            flow_dropped[fid] = bits
+            delivered.append(0.0)
+            dropped.append(bits)
             continue
-        arcs = []
-        for u, v in zip(path, path[1:]):
-            lid = pair_link(u, v)
-            arcs.append(((u, v), lid))
-        walks.append((fid, bits, arcs))
+        walks.append((bits, [((u, v), pair_link(u, v)) for u, v in zip(path, path[1:])]))
 
     scale: dict[tuple[int, int], float] = {}
-    for _fid, _bits, arcs in walks:
+    cap_bits = {}
+    for _bits, arcs in walks:
         for arc, lid in arcs:
             scale.setdefault(arc, 1.0 if lid in usable else 0.0)
-
-    cap_bits = {}
-    for _fid, _bits, arcs in walks:
-        for arc, lid in arcs:
             cap_bits[arc] = capacities[lid] * window
 
     for _round in range(200):
         arrivals: dict[tuple[int, int], float] = {arc: 0.0 for arc in scale}
-        for _fid, bits, arcs in walks:
+        for bits, arcs in walks:
             r = bits
             for arc, _lid in arcs:
                 arrivals[arc] += r
@@ -166,33 +141,16 @@ def allocate(flow_paths, capacities: dict[int, float], usable,
         if delta <= 1e-15:
             break
 
-    loads: dict[tuple[int, int], LinkLoad] = {}
     link_bits: dict[int, float] = {}
-    for fid, bits, arcs in walks:
+    for bits, arcs in walks:
         r = bits
         for arc, lid in arcs:
-            load = loads.setdefault(arc, LinkLoad())
-            passed = r * scale[arc]
-            load.offered += r
-            load.delivered += passed
-            load.dropped += r - passed
-            link_bits[lid] = link_bits.get(lid, 0.0) + passed
-            r = passed
-        flow_delivered[fid] = r
-        flow_dropped[fid] = bits - r
-
-    delivered_total = sum(flow_delivered.values())
-    dropped_total = sum(flow_dropped.values())
-    return AllocationResult(
-        flow_delivered=flow_delivered,
-        flow_dropped=flow_dropped,
-        no_route=frozenset(no_route),
-        loads=loads,
-        link_bits=link_bits,
-        offered_bits=offered_total,
-        delivered_bits=delivered_total,
-        dropped_bits=dropped_total,
-    )
+            r *= scale[arc]
+            link_bits[lid] = link_bits.get(lid, 0.0) + r
+        delivered.append(r)
+        dropped.append(bits - r)
+    return AllocationResult(link_bits=link_bits, offered_bits=offered_total,
+                            delivered_bits=sum(delivered), dropped_bits=sum(dropped))
 
 
 def parse_traffic(text: str, horizon: float = math.inf) -> TrafficMatrix:

@@ -293,3 +293,32 @@ def test_run_rejects_out_of_domain_config(small_files, tmp_path, capsys, line):
     assert err.startswith("gospf: error:")
     assert line.split("=")[0] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("topo_text, traffic_text", [
+    pytest.param(SMALL_TOPO.replace("link 1 1 2 10000000",
+                                    "link 1 1 2 10000000 nan 0.8 0.016 0"),
+                 SMALL_TRAFFIC, id="link-power-nan"),
+    pytest.param(SMALL_TOPO.replace("link 1 1 2 10000000",
+                                    "link 1 1 2 10000000 -5 0.8 0.016 0"),
+                 SMALL_TRAFFIC, id="link-power-negative"),
+    pytest.param(SMALL_TOPO.replace("link 1 1 2 10000000",
+                                    "link 1 1 2 10000000 1.0 0.8 inf 0"),
+                 SMALL_TRAFFIC, id="link-power-inf"),
+    pytest.param(SMALL_TOPO, "flow 1 1 3 udp\nrate 1 0 nan\n", id="rate-nan"),
+    pytest.param(SMALL_TOPO, "flow 1 1 3 udp\nrate 1 0 inf\n", id="rate-inf"),
+    pytest.param(SMALL_TOPO, "flow 1 1 3 udp\nrate 1 nan 100\n", id="time-nan"),
+])
+def test_run_rejects_non_finite_or_negative_inputs(tmp_path, capsys, topo_text,
+                                                   traffic_text):
+    topo = tmp_path / "net.topo"
+    topo.write_text(topo_text)
+    traffic = tmp_path / "flows.traffic"
+    traffic.write_text(traffic_text)
+    code = run_cli("run", "--topology", topo, "--traffic", traffic,
+                   "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("gospf: error:")
+    assert "line " in err
+    assert "Traceback" not in err

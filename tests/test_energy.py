@@ -2,12 +2,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gospf.config import ConfigError, parse_config
 from gospf.energy import (EnergyAccount, InvalidThresholds, InvalidTransition,
                           NegativeDuration, OperationalState, UtilizationClass,
-                          UtilizationSample, ZeroRate, ZeroWindow, classify,
-                          total_network_energy, utilization)
+                          classify, total_network_energy, validate_thresholds)
+from gospf.engine import Scenario, run
+from gospf.graph import Link, Topology, TopologyError
+from gospf.protocol import GospfNode
+from gospf.traffic import Flow, TrafficMatrix
+
+from conftest import make_topology
 
 DEFAULT_POWERS = dict(p_active=1.0, p_idle=0.8, p_sleep=0.016)
+
+
+def elapsed(acct):
+    return acct.t_active + acct.t_idle + acct.t_sleep
 
 
 def test_accrue_active_ten_seconds():
@@ -27,7 +37,7 @@ def test_accrue_zero_duration_is_identity():
     acct = EnergyAccount(**DEFAULT_POWERS)
     acct.accrue(OperationalState.IDLE, 0.0)
     assert acct.energy_j == 0.0
-    assert acct.elapsed == 0.0
+    assert elapsed(acct) == 0.0
 
 
 def test_accrue_rejects_negative_duration():
@@ -70,7 +80,7 @@ def test_time_buckets_conserve_elapsed_time(steps):
     for state, duration in steps:
         acct.accrue(state, duration)
         total += duration
-    assert acct.elapsed == pytest.approx(total, abs=1e-9)
+    assert elapsed(acct) == pytest.approx(total, abs=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,21 +96,40 @@ def test_energy_monotone_nondecreasing(steps):
         previous = acct.energy_j
 
 
-def test_utilization_examples():
-    assert utilization(0, 1e7, 1.0) == 0.0
-    assert utilization(1e7, 1e7, 1.0) == 1.0
-    assert utilization(1e6, 1e7, 1.0) == pytest.approx(0.1)
+def first_tick_samples(monkeypatch, rate):
+    """The utilization samples node 1 receives at the first tick of a gospf
+    run with one flow 1->3 over links of 10 and 20 Mbit/s."""
+    seen = []
+    tick = GospfNode.sample_tick
+
+    def recording_tick(node, now, samples):
+        if node.node_id == 1:
+            seen.append(dict(samples))
+        return tick(node, now, samples)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GospfNode, "sample_tick", recording_tick)
+        flow = Flow(1, 1, 3, "udp")
+        flow.add_step(0.0, rate)
+        cfg = parse_config("horizon=1.0")
+        run(Scenario(make_topology([(1, 2), (2, 3)], [1e7, 2e7]),
+                     TrafficMatrix([flow], cfg.horizon), cfg))
+    return seen[0]
 
 
-def test_utilization_clamps_to_one():
-    assert utilization(5e7, 1e7, 1.0) == 1.0
+def test_utilization_examples(monkeypatch):
+    # Each link's sample is its bits over capacity times the window.
+    assert first_tick_samples(monkeypatch, 0.0) == {1: 0.0, 2: 0.0}
+    assert first_tick_samples(monkeypatch, 1e6) == pytest.approx({1: 0.1, 2: 0.05})
+    assert first_tick_samples(monkeypatch, 1e7) == pytest.approx({1: 1.0, 2: 0.5})
 
 
 def test_utilization_rejects_degenerate_inputs():
-    with pytest.raises(ZeroRate):
-        utilization(1.0, 0.0, 1.0)
-    with pytest.raises(ZeroWindow):
-        utilization(1.0, 1e7, 0.0)
+    # A zero line rate or a zero window never reaches a utilization sample.
+    with pytest.raises(TopologyError):
+        Topology({1: "a", 2: "b"}, [Link(1, 1, 2, 0.0)])
+    with pytest.raises(ConfigError):
+        parse_config("t_sample=0").validate()
 
 
 def test_classify_examples():
@@ -116,7 +145,10 @@ def test_classify_boundaries_are_inclusive_normal():
 
 def test_classify_rejects_swapped_thresholds():
     with pytest.raises(InvalidThresholds):
-        classify(0.5, 0.2, 0.8)
+        validate_thresholds(0.2, 0.8)
+    with pytest.raises(InvalidThresholds):
+        GospfNode(1, make_topology([(1, 2)]), gamma_u=0.2, gamma_l=0.8,
+                  safeguard_interval=2.0, mcst_reset_timer=5.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,8 +166,3 @@ def test_total_network_energy():
     for acct in accounts:
         acct.accrue(OperationalState.ACTIVE, 1.0)
     assert total_network_energy(accounts) == pytest.approx(2.0)
-
-
-def test_utilization_sample_ratio():
-    sample = UtilizationSample(bits=1e6, line_rate=1e7, window=1.0)
-    assert sample.u_r == pytest.approx(0.1)

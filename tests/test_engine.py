@@ -88,7 +88,8 @@ def test_time_bucket_conservation(garr48):
     res = run(scenario(garr48, TrafficMatrix([flow], 10.0), horizon=10.0))
     assert res.metrics.times[-1] == pytest.approx(10.0 - 0.2)
     for acct in res.accounts.values():
-        assert acct.elapsed == pytest.approx(10.0, abs=1e-9)
+        elapsed = acct.t_active + acct.t_idle + acct.t_sleep
+        assert elapsed == pytest.approx(10.0, abs=1e-9)
     total = sum(acct.energy_j for acct in res.accounts.values())
     assert total == pytest.approx(res.metrics.total_energy_j)
 

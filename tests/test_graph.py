@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gospf.graph import (DisconnectedTopology, Link, Topology, TopologyError,
-                         bfs_hop_counts, compute_mcst, hop_distance,
-                         is_connected, parse_topology, shortest_paths,
-                         write_topology)
+                         bfs_hop_counts, compute_mcst, is_connected,
+                         parse_topology, shortest_paths, write_topology)
+from gospf.protocol import GospfNode
 
 from conftest import make_topology, random_connected_topology
 
@@ -28,6 +28,22 @@ def enumerate_spanning_trees(topology):
 def tree_weight(topology, edge_ids):
     return sum((Fraction(1) / Fraction(topology.links[e].capacity)
                 for e in edge_ids), Fraction(0))
+
+
+def path_cost(topology, path, ref_bandwidth=1e8):
+    """OSPF cost of a node path, summed from the source as Dijkstra does."""
+    cost = 0.0
+    for u, v in zip(path, path[1:]):
+        cost += ref_bandwidth / topology.links[topology.link_between(u, v)].capacity
+    return cost
+
+
+def hop_rows(topology, node):
+    """The cut-matrix row `node` files each link under: hops from the node
+    to the link's nearer endpoint."""
+    gospf_node = GospfNode(node, topology, gamma_u=0.8, gamma_l=0.2,
+                           safeguard_interval=2.0, mcst_reset_timer=5.0)
+    return {lid: gospf_node._hop_row(lid) for lid in topology.links}
 
 
 def brute_force_paths(topology, active, source, ref_bandwidth=1e8):
@@ -69,7 +85,7 @@ def test_mcst_four_node_example():
                          [10.0, 10.0, 1.0, 5.0])
     tree = compute_mcst(topo)
     assert tree.edges == frozenset({1, 2, 4})
-    assert tree.weight == Fraction(1, 10) + Fraction(1, 10) + Fraction(1, 5)
+    assert tree_weight(topo, tree.edges) == Fraction(1, 10) + Fraction(1, 10) + Fraction(1, 5)
 
 
 def test_mcst_garr48_cardinality(garr48):
@@ -85,7 +101,7 @@ def test_mcst_matches_exhaustive_enumeration(topo):
     assert len(tree.edges) == len(topo.nodes) - 1
     assert is_connected(topo, tree.edges)
     best = min(tree_weight(topo, t) for t in enumerate_spanning_trees(topo))
-    assert tree.weight == best
+    assert tree_weight(topo, tree.edges) == best
 
 
 @settings(max_examples=40, deadline=None)
@@ -116,13 +132,13 @@ def test_mcst_exclude_makes_disconnection_detectable():
 
 def test_hop_distance_incident_is_zero():
     topo = make_topology([(1, 2), (2, 3), (3, 4)])
-    assert hop_distance(topo, 1, 1) == 0
-    assert hop_distance(topo, 2, 1) == 0
+    assert hop_rows(topo, 1)[1] == 0
+    assert hop_rows(topo, 2)[1] == 0
 
 
 def test_hop_distance_path_graph():
     topo = make_topology([(1, 2), (2, 3), (3, 4)])
-    assert hop_distance(topo, 1, 3) == 2
+    assert hop_rows(topo, 1)[3] == 2
 
 
 @settings(max_examples=50, deadline=None)
@@ -130,25 +146,24 @@ def test_hop_distance_path_graph():
 def test_hop_distance_matches_bfs(topo):
     node = min(topo.nodes)
     hops = bfs_hop_counts(topo, node)
+    rows = hop_rows(topo, node)
     for link in topo.links.values():
-        expected = min(hops[link.a], hops[link.b])
-        assert hop_distance(topo, node, link.link_id) == expected
+        assert rows[link.link_id] == min(hops[link.a], hops[link.b])
 
 
 def test_hop_distance_zero_iff_incident(garr48):
     node = 30
     incident = set(garr48.incident(node))
-    for lid in garr48.links:
-        dist = hop_distance(garr48, node, lid)
-        assert (dist == 0) == (lid in incident)
+    for lid, row in hop_rows(garr48, node).items():
+        assert (row == 0) == (lid in incident)
 
 
 def test_hop_distance_on_reference_topology_matches_bfs(garr48):
     for node in (1, 25, 48):
         hops = bfs_hop_counts(garr48, node)
+        rows = hop_rows(garr48, node)
         for link in garr48.links.values():
-            expected = min(hops[link.a], hops[link.b])
-            assert hop_distance(garr48, node, link.link_id) == expected
+            assert rows[link.link_id] == min(hops[link.a], hops[link.b])
 
 
 # ---------------------------------------------------------- shortest paths
@@ -156,15 +171,15 @@ def test_hop_distance_on_reference_topology_matches_bfs(garr48):
 def test_shortest_paths_source_is_trivial():
     topo = make_topology([(1, 2)])
     table = shortest_paths(topo, frozenset({1}), 1)
-    assert table.cost[1] == 0.0
     assert table.paths[1] == (1,)
+    assert path_cost(topo, table.paths[1]) == 0.0
 
 
 def test_shortest_paths_two_nodes():
     topo = make_topology([(1, 2)])
     table = shortest_paths(topo, frozenset({1}), 1)
-    assert table.next_hop[2] == 2
-    assert table.unreachable == frozenset()
+    assert table.source == 1
+    assert table.paths[2] == (1, 2)
 
 
 def test_shortest_paths_five_node_mixed_capacities():
@@ -175,7 +190,7 @@ def test_shortest_paths_five_node_mixed_capacities():
     table = shortest_paths(topo, active, 1)
     oracle = brute_force_paths(topo, active, 1)
     for dest in topo.nodes:
-        assert table.cost[dest] == oracle[dest][0]
+        assert path_cost(topo, table.paths[dest]) == oracle[dest][0]
         assert table.paths[dest] == oracle[dest][1]
 
 
@@ -187,15 +202,15 @@ def test_shortest_paths_match_brute_force(topo):
         table = shortest_paths(topo, active, source)
         oracle = brute_force_paths(topo, active, source)
         for dest in topo.nodes:
-            assert table.cost[dest] == pytest.approx(oracle[dest][0])
+            assert path_cost(topo, table.paths[dest]) == pytest.approx(oracle[dest][0])
             assert table.paths[dest] == oracle[dest][1]
 
 
 def test_shortest_paths_reports_unreachable():
     topo = make_topology([(1, 2), (2, 3)])
     table = shortest_paths(topo, frozenset({1}), 1)
-    assert table.unreachable == frozenset({3})
-    assert 3 not in table.next_hop
+    assert set(table.paths) == {1, 2}
+    assert 3 not in table.paths
 
 
 # ------------------------------------------------------------ connectivity

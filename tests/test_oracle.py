@@ -6,9 +6,9 @@ import pytest
 
 from gospf.config import ScenarioConfig, parse_config
 from gospf.engine import Scenario, run
-from gospf.oracle import (CmndInstance, Infeasible, InstanceTooLarge,
+from gospf.oracle import (CmndInstance, Demand, Infeasible, InstanceTooLarge,
                           check_flow_feasibility, gap_csv, heuristic_gap,
-                          make_demand, solve_static, solve_time_expanded)
+                          solve_static)
 from gospf.traffic import Flow, TrafficMatrix
 
 from conftest import make_topology, random_connected_topology
@@ -103,7 +103,7 @@ def check_solution(instance, solution):
 
 def test_single_link_single_demand():
     topo = make_topology([(1, 2)], 1e7)
-    inst = CmndInstance(topo, (make_demand(1, 2, 5e6),), Fraction(8, 10))
+    inst = CmndInstance(topo, (Demand(1, 2, Fraction(5e6)),), Fraction(8, 10))
     solution = solve_static(inst)
     assert solution.active == frozenset({1})
     assert solution.power_cost == inst.link_powers()[1]
@@ -113,7 +113,7 @@ def test_single_link_single_demand():
 
 def test_zero_demands_activate_nothing():
     topo = make_topology([(1, 2), (2, 3), (3, 1)], 1e7)
-    demands = (make_demand(1, 2, 0), make_demand(2, 3, 0))
+    demands = (Demand(1, 2, Fraction(0)), Demand(2, 3, Fraction(0)))
     solution = solve_static(CmndInstance(topo, demands, Fraction(1)))
     assert solution.active == frozenset()
     assert solution.objective == 0
@@ -123,8 +123,8 @@ def test_five_node_seven_link_matches_brute_force():
     topo = make_topology(
         [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (2, 4), (1, 3)],
         [1e7, 2e7, 1e7, 5e7, 1e7, 2.5e7, 4e7])
-    demands = (make_demand(1, 4, 4e6), make_demand(2, 5, 2e6),
-               make_demand(3, 1, 1e6))
+    demands = (Demand(1, 4, Fraction(4e6)), Demand(2, 5, Fraction(2e6)),
+               Demand(3, 1, Fraction(1e6)))
     inst = CmndInstance(topo, demands, Fraction(8, 10))
     solution = solve_static(inst)
     assert solution.objective == brute_force_optimum(inst)
@@ -135,7 +135,7 @@ def test_capacity_conflict_forces_path_split():
     # Two demands that cannot share the single cheap middle link.
     topo = make_topology([(1, 2), (2, 4), (1, 3), (3, 4)],
                          [1e7, 1e7, 1e7, 1e7])
-    demands = (make_demand(1, 4, 6e6), make_demand(1, 4, 6e6))
+    demands = (Demand(1, 4, Fraction(6e6)), Demand(1, 4, Fraction(6e6)))
     inst = CmndInstance(topo, demands, Fraction(8, 10))
     solution = solve_static(inst)
     assert solution.objective == brute_force_optimum(inst)
@@ -145,7 +145,7 @@ def test_capacity_conflict_forces_path_split():
 
 def test_infeasible_when_demand_exceeds_alpha_capacity():
     topo = make_topology([(1, 2)], 1e6)
-    inst = CmndInstance(topo, (make_demand(1, 2, 9e5),), Fraction(1, 2))
+    inst = CmndInstance(topo, (Demand(1, 2, Fraction(9e5)),), Fraction(1, 2))
     with pytest.raises(Infeasible):
         solve_static(inst)
 
@@ -153,10 +153,10 @@ def test_infeasible_when_demand_exceeds_alpha_capacity():
 def test_guardrails():
     rng = random.Random(0)
     big = random_connected_topology(rng, 12, 10)
-    inst = CmndInstance(big, (make_demand(1, 2, 1.0),), Fraction(1))
+    inst = CmndInstance(big, (Demand(1, 2, Fraction(1.0)),), Fraction(1))
     with pytest.raises(InstanceTooLarge):
         solve_static(inst, max_links=5)
-    demands = tuple(make_demand(1, 2, 1.0) for _ in range(9))
+    demands = tuple(Demand(1, 2, Fraction(1.0)) for _ in range(9))
     small = make_topology([(1, 2)], 1e7)
     with pytest.raises(InstanceTooLarge):
         solve_static(CmndInstance(small, demands, Fraction(1)), max_demands=8)
@@ -175,7 +175,7 @@ def random_instance(seed):
     for _ in range(rng.randint(1, 4)):
         src, dst = rng.sample(nodes, 2)
         volume = rng.choice([0, 1e5, 5e5, 1e6, 3e6])
-        demands.append(make_demand(src, dst, volume))
+        demands.append(Demand(src, dst, Fraction(volume)))
     alpha = rng.choice([Fraction(1, 2), Fraction(8, 10), Fraction(1)])
     return CmndInstance(topo, tuple(demands), alpha)
 
@@ -237,39 +237,6 @@ def test_random_search_never_beats_solver(seed):
             assert optimum.objective <= total
 
 
-# ------------------------------------------------------------ time expanded
-
-def test_time_expanded_identical_periods():
-    topo = make_topology([(1, 2), (2, 3), (1, 3)], 1e7)
-    static = solve_static(CmndInstance(topo, (make_demand(1, 3, 2e6),),
-                                       Fraction(8, 10)))
-    demands = tuple(make_demand(1, 3, 2e6, period=t) for t in range(3))
-    per_period = solve_time_expanded(CmndInstance(topo, demands, Fraction(8, 10)))
-    assert len(per_period) == 3
-    total = sum(sol.objective for sol in per_period.values())
-    assert total == 3 * static.objective
-
-
-def test_time_expanded_zero_period_empty():
-    topo = make_topology([(1, 2)], 1e7)
-    demands = (make_demand(1, 2, 1e6, period=0), make_demand(1, 2, 0, period=1))
-    per_period = solve_time_expanded(CmndInstance(topo, demands, Fraction(1)))
-    assert per_period[1].active == frozenset()
-    assert per_period[0].active == frozenset({1})
-
-
-def test_time_expanded_matches_per_period_brute_force():
-    topo = make_topology([(1, 2), (2, 3), (3, 4), (4, 1)], [1e7, 2e7, 1e7, 5e6])
-    demands = (make_demand(1, 3, 3e6, period=0), make_demand(2, 4, 1e6, period=0),
-               make_demand(3, 1, 5e6, period=1))
-    inst = CmndInstance(topo, demands, Fraction(8, 10))
-    per_period = solve_time_expanded(inst)
-    for period in (0, 1):
-        sub = CmndInstance(topo, tuple(d for d in demands if d.period == period),
-                           Fraction(8, 10))
-        assert per_period[period].objective == brute_force_optimum(sub)
-
-
 # -------------------------------------------------------------- gap reports
 
 def tiny_scenario(rate):
@@ -319,16 +286,6 @@ def test_flow_feasibility_checker():
     assert not check_flow_feasibility(topo, too_much, Fraction(8, 10))
     broken_path = [((1, 3), 1e6)]
     assert not check_flow_feasibility(topo, broken_path, Fraction(8, 10))
-
-
-def test_parse_demand_lines():
-    from gospf.oracle import OracleError, parse_demands
-
-    demands = parse_demands("# instance\ndemand 1 2 3000000\ndemand 2 3 1e6 4\n")
-    assert demands[0].src == 1 and demands[0].volume == Fraction(3_000_000)
-    assert demands[1].period == 4
-    with pytest.raises(OracleError, match="line 1"):
-        parse_demands("demand 1 2\n")
 
 
 def test_walkthrough_end_state_is_design_feasible():

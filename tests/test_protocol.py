@@ -3,7 +3,7 @@ import math
 import pytest
 
 import gospf.protocol
-from gospf.energy import (InterfaceRole, OperationalState, UtilizationSample)
+from gospf.energy import InterfaceRole, OperationalState
 from gospf.graph import is_connected, shortest_paths
 from gospf.protocol import (ControlMessage, GospfNode, MessageKind,
                             ProtocolHooks)
@@ -44,13 +44,10 @@ def deliver_all(nodes, transmissions, now):
                                                        arrival_link=tx.link_id))
 
 
-def sample(bits, cap=1e7, window=0.2):
-    return UtilizationSample(bits=bits, line_rate=cap, window=window)
-
-
 def samples_for(node, u_map, cap=1e7, window=0.2):
-    return {lid: sample(u * cap * window, cap, window)
-            for lid, u in u_map.items()}
+    """Utilization per link as the engine computes it from the bits each
+    link carried over one window."""
+    return {lid: (u * cap * window) / (cap * window) for lid, u in u_map.items()}
 
 
 # Chain 1-2-3-4-5 (tree ids 1..4) with same-capacity chords cut by id order.

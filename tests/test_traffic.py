@@ -24,20 +24,20 @@ def test_demand_before_first_breakpoint_is_initial_rate():
     flow = Flow(1, 1, 2, "udp")
     flow.add_step(10.0, 5e6)
     matrix = TrafficMatrix([flow], horizon=100.0)
-    assert matrix.demand_at(0.0)[1] == 0.0
-    assert matrix.demand_at(10.0)[1] == 5e6
+    assert matrix.demand_at(0.0, 0.2, 0.01)[1] == 0.0
+    assert matrix.demand_at(10.0, 0.2, 0.01)[1] == 5e6
 
 
 def test_demand_constant_flow():
     matrix = TrafficMatrix([constant_flow(1, 1, 2, 3e6)], horizon=100.0)
     for t in (0.0, 17.3, 99.9):
-        assert matrix.demand_at(t)[1] == 3e6
+        assert matrix.demand_at(t, 0.2, 0.01)[1] == 3e6
 
 
 def test_demand_out_of_horizon():
     matrix = TrafficMatrix([constant_flow(1, 1, 2, 3e6)], horizon=10.0)
     with pytest.raises(OutOfHorizon):
-        matrix.demand_at(11.0)
+        matrix.demand_at(11.0, 0.2, 0.01)
 
 
 def test_demand_aggregate_shared_bottleneck():
@@ -45,7 +45,7 @@ def test_demand_aggregate_shared_bottleneck():
     # shared segment once the two new flows start.
     flows = [constant_flow(1, 9, 2, 3e6), constant_flow(2, 7, 5, 6e6)]
     matrix = TrafficMatrix(flows, horizon=100.0)
-    rates = matrix.demand_at(50.0)
+    rates = matrix.demand_at(50.0, 0.2, 0.01)
     assert rates[1] + rates[2] == pytest.approx(9e6)
 
 
@@ -55,9 +55,9 @@ def test_tcp_burst_applies_for_one_window():
     flow.add_step(10.0, 2e6)
     matrix = TrafficMatrix([flow], horizon=100.0)
     window = 0.2
-    with_burst = matrix.demand_at(10.0, window=window)
+    with_burst = matrix.demand_at(10.0, window, 0.01)
     assert with_burst[1] == pytest.approx(2e6 + 0.01 * 2e6)
-    after = matrix.demand_at(10.0 + window, window=window)
+    after = matrix.demand_at(10.0 + window, window, 0.01)
     assert after[1] == pytest.approx(2e6)
 
 
@@ -66,7 +66,7 @@ def test_udp_has_no_burst():
     flow.add_step(0.0, 1e6)
     flow.add_step(10.0, 2e6)
     matrix = TrafficMatrix([flow], horizon=100.0)
-    assert matrix.demand_at(10.0, window=0.2)[1] == pytest.approx(2e6)
+    assert matrix.demand_at(10.0, 0.2, 0.01)[1] == pytest.approx(2e6)
 
 
 def test_rate_decrease_never_bursts():
@@ -74,7 +74,7 @@ def test_rate_decrease_never_bursts():
     flow.add_step(0.0, 2e6)
     flow.add_step(10.0, 1e6)
     matrix = TrafficMatrix([flow], horizon=100.0)
-    assert matrix.demand_at(10.0, window=0.2)[1] == pytest.approx(1e6)
+    assert matrix.demand_at(10.0, 0.2, 0.01)[1] == pytest.approx(1e6)
 
 
 # ---------------------------------------------------------------- allocate
@@ -95,16 +95,19 @@ def test_single_flow_under_capacity_no_drops():
     topo = make_topology([(1, 2), (2, 3)], 1e7)
     result = run_allocate(topo, [(1, 5e6, 1, 3)])
     assert result.dropped_bits == 0.0
-    assert result.flow_delivered[1] == pytest.approx(5e6)
+    assert result.delivered_bits == pytest.approx(5e6)
+    assert result.link_bits == pytest.approx({1: 5e6, 2: 5e6})
 
 
 def test_two_flows_proportional_split():
-    topo = make_topology([(1, 2)], 1e7)
-    result = run_allocate(topo, [(1, 8e6, 1, 2), (2, 8e6, 1, 2)])
+    # Both flows share link 1 (10M) and then part: each keeps 10/16 of its
+    # bits, which the two downstream links show.
+    topo = make_topology([(1, 2), (2, 3), (2, 4)], 1e7)
+    result = run_allocate(topo, [(1, 12e6, 1, 3), (2, 4e6, 1, 4)])
     assert result.offered_bits == pytest.approx(16e6)
     assert result.delivered_bits == pytest.approx(10e6)
-    assert result.flow_delivered[1] == pytest.approx(5e6)
-    assert result.flow_delivered[2] == pytest.approx(5e6)
+    assert result.dropped_bits == pytest.approx(6e6)
+    assert result.link_bits == pytest.approx({1: 10e6, 2: 7.5e6, 3: 2.5e6})
 
 
 def test_middle_link_overflow_propagates_downstream():
@@ -112,22 +115,19 @@ def test_middle_link_overflow_propagates_downstream():
     # the middle link delivers 5M and the downstream link sees only that.
     topo = make_topology([(1, 2), (2, 3), (3, 4)], [1e7, 5e6, 1e7])
     result = run_allocate(topo, [(1, 8e6, 1, 4)])
-    assert result.loads[(1, 2)].offered == pytest.approx(8e6)
-    assert result.loads[(1, 2)].delivered == pytest.approx(8e6)
-    assert result.loads[(2, 3)].offered == pytest.approx(8e6)
-    assert result.loads[(2, 3)].delivered == pytest.approx(5e6)
-    assert result.loads[(2, 3)].dropped == pytest.approx(3e6)
-    assert result.loads[(3, 4)].offered == pytest.approx(5e6)
-    assert result.flow_delivered[1] == pytest.approx(5e6)
-    assert result.flow_dropped[1] == pytest.approx(3e6)
+    assert result.link_bits == pytest.approx({1: 8e6, 2: 5e6, 3: 5e6})
+    assert result.offered_bits == pytest.approx(8e6)
+    assert result.delivered_bits == pytest.approx(5e6)
+    assert result.dropped_bits == pytest.approx(3e6)
 
 
 def test_unusable_link_drops_at_that_hop():
     topo = make_topology([(1, 2), (2, 3)], 1e7)
     result = run_allocate(topo, [(1, 4e6, 1, 3)], usable=frozenset({1}))
-    assert result.loads[(1, 2)].delivered == pytest.approx(4e6)
-    assert result.loads[(2, 3)].delivered == 0.0
-    assert result.flow_dropped[1] == pytest.approx(4e6)
+    assert result.link_bits[1] == pytest.approx(4e6)
+    assert result.link_bits[2] == 0.0
+    assert result.delivered_bits == 0.0
+    assert result.dropped_bits == pytest.approx(4e6)
 
 
 def test_no_route_flow_counts_dropped():
@@ -135,8 +135,10 @@ def test_no_route_flow_counts_dropped():
     caps = {1: 1e7}
     result = allocate([(1, 2e6, None)], caps, frozenset({1}), 1.0,
                       topo.link_between)
-    assert result.no_route == frozenset({1})
-    assert result.flow_dropped[1] == pytest.approx(2e6)
+    assert result.link_bits == {}
+    assert result.offered_bits == pytest.approx(2e6)
+    assert result.delivered_bits == 0.0
+    assert result.dropped_bits == pytest.approx(2e6)
 
 
 @settings(max_examples=50, deadline=None)
@@ -151,12 +153,14 @@ def test_bit_conservation_per_flow(seed, n_flows):
         src, dst = rng.sample(nodes, 2)
         specs.append((fid, rng.uniform(0, 2e7), src, dst))
     result = run_allocate(topo, specs)
-    for fid, rate, _s, _d in specs:
-        delivered = result.flow_delivered[fid]
-        dropped = result.flow_dropped[fid]
-        assert delivered + dropped == pytest.approx(rate, rel=1e-9)
-    for load in result.loads.values():
-        assert load.delivered + load.dropped == pytest.approx(load.offered, rel=1e-9)
+    offered = sum(rate for _fid, rate, _s, _d in specs)
+    assert result.offered_bits == pytest.approx(offered, rel=1e-9)
+    assert result.delivered_bits + result.dropped_bits == \
+        pytest.approx(offered, rel=1e-9)
+    for spec in specs:  # each flow alone conserves its own bits
+        alone = run_allocate(topo, [spec])
+        assert alone.delivered_bits + alone.dropped_bits == \
+            pytest.approx(spec[1], rel=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
@@ -179,17 +183,20 @@ def test_allocation_order_independent():
     specs = [(1, 6e6, 1, 3), (2, 3e6, 2, 3), (3, 1e6, 1, 2)]
     forward = run_allocate(topo, specs)
     backward = run_allocate(topo, list(reversed(specs)))
-    assert forward.flow_delivered == backward.flow_delivered
+    assert forward.link_bits == pytest.approx(backward.link_bits)
+    assert forward.delivered_bits == pytest.approx(backward.delivered_bits)
     assert forward.dropped_bits == pytest.approx(backward.dropped_bits)
 
 
 def test_capacity_never_exceeded():
+    # Every flow crosses its links in the direction 1->2->3, so a link's
+    # bits are those of its one loaded direction.
     topo = make_topology([(1, 2), (2, 3), (3, 1)], [1e7, 5e6, 2e6])
-    specs = [(1, 9e6, 1, 3), (2, 9e6, 2, 3), (3, 9e6, 3, 1)]
+    specs = [(1, 9e6, 1, 3), (2, 9e6, 2, 3), (3, 9e6, 1, 2)]
     result = run_allocate(topo, specs, window=2.0)
-    for (u, v), load in result.loads.items():
-        cap_bits = topo.links[topo.link_between(u, v)].capacity * 2.0
-        assert load.delivered <= cap_bits + 1e-6
+    assert set(result.link_bits) == {1, 2}
+    for lid, bits in result.link_bits.items():
+        assert bits <= topo.links[lid].capacity * 2.0 + 1e-6
 
 
 # ------------------------------------------------------------------ parser
