@@ -325,6 +325,8 @@ def heuristic_gap(scenario: Scenario, *, max_links: int = 20, max_demands: int =
     alpha = Fraction(scenario.config.alpha)
     powers = link_powers(scenario.topology)
     cache = solution_cache if solution_cache is not None else {}
+    # Quiesced windows repeat the same realized flows; check each set once.
+    feasibility: dict[tuple, bool] = {}
     rows: list[GapRow] = []
 
     for w, quiet in enumerate(result.metrics.quiesced):
@@ -358,7 +360,11 @@ def heuristic_gap(scenario: Scenario, *, max_links: int = 20, max_demands: int =
             cache[key] = optimal_power
 
         heuristic_power = sum((powers[lid] for lid in state.active), Fraction(0))
-        feasible = check_flow_feasibility(scenario.topology, flows_for_check, alpha)
+        flows_key = tuple(flows_for_check)
+        if flows_key not in feasibility:
+            feasibility[flows_key] = check_flow_feasibility(scenario.topology,
+                                                            flows_for_check, alpha)
+        feasible = feasibility[flows_key]
         ratio = (float(heuristic_power / optimal_power) if optimal_power > 0
                  else math.inf)
         rows.append(GapRow(window=w, heuristic_power=float(heuristic_power),

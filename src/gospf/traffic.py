@@ -1,5 +1,6 @@
 """Time-varying traffic demands, fluid load allocation, and profile generation."""
 
+import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -228,44 +229,63 @@ def daily_shape(hour: float) -> float:
     return TROUGH_FRACTION + (1.0 - TROUGH_FRACTION) * bump
 
 
-def place_flows(topology: Topology, count: int,
-                ref_bandwidth: float = 1e8) -> list[tuple[int, int]]:
+def full_graph_tables(topology: Topology, ref_bandwidth: float = 1e8):
+    """One full-graph routing table per node, keyed by node id."""
+    full = frozenset(topology.links)
+    return {n: shortest_paths(topology, full, n, ref_bandwidth) for n in topology.node_ids}
+
+
+def place_flows(topology: Topology, count: int, ref_bandwidth: float = 1e8,
+                tables=None) -> list[tuple[int, int]]:
     """Deterministic greedy placement of (src, dst) pairs maximizing link
-    coverage of full-graph shortest paths, spreading endpoints round-robin."""
-    tables = {n: shortest_paths(topology, frozenset(topology.links), n, ref_bandwidth)
-              for n in topology.node_ids}
-    pair_paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    coverage of full-graph shortest paths, spreading endpoints round-robin.
+
+    `tables` are the full-graph routing tables per node, as
+    `full_graph_tables` returns them; they are computed when omitted.
+
+    Each pick takes the pair with the largest key (-endpoint reuse, newly
+    covered links, path links, -src, -dst). A pick never raises another
+    pair's key and no two keys tie, so a heap of possibly stale keys picks
+    as a full scan would (lazy greedy): the top pair is taken when its
+    recomputed key equals the stored one, else pushed back with the new key.
+    """
+    if tables is None:
+        tables = full_graph_tables(topology, ref_bandwidth)
+    pair_links: dict[tuple[int, int], frozenset[int]] = {}
     for s in topology.node_ids:
         for d in topology.node_ids:
             if s != d:
-                pair_paths[(s, d)] = tables[s].paths[d]
+                path = tables[s].paths[d]
+                pair_links[(s, d)] = frozenset(
+                    topology.link_between(u, v) for u, v in zip(path, path[1:]))
 
-    def path_links(path):
-        return {topology.link_between(u, v) for u, v in zip(path, path[1:])}
-
-    if count > len(pair_paths):
+    if count > len(pair_links):
         raise TrafficError(
-            f"cannot place {count} flows over {len(pair_paths)} ordered node pairs")
+            f"cannot place {count} flows over {len(pair_links)} ordered node pairs")
     covered: set[int] = set()
     endpoint_use: dict[int, int] = {}
     chosen: list[tuple[int, int]] = []
-    available = set(pair_paths)
-    for _ in range(count):
-        best_key = None
-        best_pair = None
-        for pair in sorted(available):
-            links = path_links(pair_paths[pair])
-            # Endpoint reuse is the last resort: piling several flows onto one
-            # node can pin its sole uplink above the graft threshold forever.
-            reuse = endpoint_use.get(pair[0], 0) + endpoint_use.get(pair[1], 0)
-            key = (-reuse, len(links - covered), len(links), -pair[0], -pair[1])
-            if best_key is None or key > best_key:
-                best_key = key
-                best_pair = pair
-        chosen.append(best_pair)
-        available.discard(best_pair)
-        covered |= path_links(pair_paths[best_pair])
-        for node in best_pair:
+
+    def heap_key(pair):
+        # The negated selection key. Endpoint reuse is the last resort: piling
+        # several flows onto one node can pin its sole uplink above the graft
+        # threshold forever.
+        links = pair_links[pair]
+        reuse = endpoint_use.get(pair[0], 0) + endpoint_use.get(pair[1], 0)
+        return (reuse, -len(links - covered), -len(links), pair[0], pair[1])
+
+    heap = [heap_key(pair) for pair in pair_links]
+    heapq.heapify(heap)
+    while len(chosen) < count:
+        stored = heapq.heappop(heap)
+        pair = stored[3:]
+        key = heap_key(pair)
+        if key != stored:
+            heapq.heappush(heap, key)
+            continue
+        chosen.append(pair)
+        covered |= pair_links[pair]
+        for node in pair:
             endpoint_use[node] = endpoint_use.get(node, 0) + 1
     return chosen
 
@@ -289,11 +309,9 @@ def generate_traffic(topology: Topology, kind: str, count: int, peak_util: float
     if peak_util <= 0:
         raise TrafficError("peak utilization must be positive")
 
-    pairs = place_flows(topology, count, ref_bandwidth)
-    full = frozenset(topology.links)
+    full_tables = full_graph_tables(topology, ref_bandwidth)
+    pairs = place_flows(topology, count, tables=full_tables)
     tree = compute_mcst(topology)
-    full_tables = {s: shortest_paths(topology, full, s, ref_bandwidth)
-                   for s in sorted({s for s, _ in pairs})}
     tree_tables = {s: shortest_paths(topology, tree.edges, s, ref_bandwidth)
                    for s in sorted({s for s, _ in pairs})}
 

@@ -1,17 +1,20 @@
+import contextlib
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gospf.protocol
 from gospf.config import ConfigError, ScenarioConfig, parse_config
 from gospf.energy import (EnergyAccount, NegativeDuration, OperationalState,
                           plan_window)
-from gospf.engine import (MetricsSeries, MismatchedScenarios, Scenario,
-                          compare, run)
+from gospf.engine import (GospfController, MetricsSeries, MismatchedScenarios,
+                          Scenario, compare, run)
 from gospf.graph import compute_mcst
 from gospf.protocol import GospfNode
-from gospf.traffic import Flow, TrafficMatrix
+from gospf.traffic import Flow, TrafficMatrix, generate_traffic
 
 from conftest import make_topology, random_connected_topology
 
@@ -440,3 +443,118 @@ def test_one_spanning_tree_per_failed_link_set(garr48, monkeypatch):
     result = run(sc)
     assert "event=RESET" in event_kinds(result)
     assert calls == [frozenset(), frozenset({lid for _t, lid in sc.link_failures})]
+
+
+# --------------------------------------------------------- converged views
+
+def node_view(node):
+    cut = frozenset().union(*node.matrix.values())
+    return (frozenset(node.active_view), tuple(sorted(node.safeguard.items())),
+            frozenset(node.failed), cut)
+
+
+@contextlib.contextmanager
+def converged_view_check():
+    """Within the block, every GospfController tick must end with all nodes
+    holding the same active view, safeguards, failed links and cut set.
+    Yields the list of tick times checked."""
+    ticks = []
+    original = GospfController.tick
+
+    def tick(ctrl, t1, samples):
+        ctrl_bytes = original(ctrl, t1, samples)
+        views = {node_view(node) for node in ctrl.nodes.values()}
+        assert len(views) == 1, f"node views differ after the tick at t={t1}"
+        ticks.append(t1)
+        return ctrl_bytes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GospfController, "tick", tick)
+        yield ticks
+
+
+def test_views_converge_every_tick_on_a_garr48_day(garr48):
+    # The daily profile squeezed into 120 s: trough cuts, midday grafts.
+    matrix = generate_traffic(garr48, "daily", 17, 0.4, 120.0)
+    with converged_view_check() as ticks:
+        result = run(scenario(garr48, matrix, horizon=120.0))
+    assert {"event=CUT", "event=GRAFT"} <= event_kinds(result)
+    assert len(ticks) > 10
+
+
+@pytest.mark.parametrize("make", [
+    lambda garr48: cut_graft_scenario(),
+    tree_failure_scenario,
+], ids=["cut_graft", "tree_failure"])
+def test_views_converge_every_tick_on_the_golden_scenarios(garr48, make):
+    with converged_view_check() as ticks:
+        run(make(garr48))
+    assert ticks
+
+
+@st.composite
+def protocol_cases(draw):
+    # Failures hit links outside the initial spanning tree, so they are
+    # announced by LSA; a tree-link failure racing a cut is pinned below.
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    n = draw(st.integers(min_value=4, max_value=10))
+    topo = random_connected_topology(rng, n, draw(st.integers(min_value=1, max_value=n)))
+    flows = []
+    for fid in range(1, draw(st.integers(min_value=1, max_value=3)) + 1):
+        src, dst = rng.sample(sorted(topo.nodes), 2)
+        times = sorted(rng.sample(range(20), rng.randint(1, 4)))
+        flows.append(stepped_flow(fid, src, dst, [
+            (0.5 * k, rng.choice((0.0, 1e5, 2e6, 8e6, 1.5e7))) for k in times],
+            rng.choice(("udp", "tcp"))))
+    chords = sorted(set(topo.links) - compute_mcst(topo).edges)
+    failures = [(draw(st.integers(min_value=2, max_value=16)) * 0.5, lid)
+                for lid in draw(st.lists(st.sampled_from(chords), max_size=2, unique=True))]
+    return scenario(topo, TrafficMatrix(flows, 12.0), failures=failures, horizon=12.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol_cases())
+def test_views_converge_every_tick_on_random_scenarios(sc):
+    with converged_view_check() as ticks:
+        run(sc)
+    assert ticks
+
+
+def cut_racing_reset_scenario():
+    # Tree link 5 fails in window 34 and the flow stopped in window 30, so
+    # the tick that ends window 34 has nodes 4 and 6 start a RESET while
+    # nodes 8 and 10 cut links 13 and 10. A node that applies a cut after
+    # the RESET keeps the link cut; the others wake it. The times lie inside
+    # their windows, so a fix of the window clock moves none of them.
+    topo = make_topology(
+        [(1, 2), (2, 3), (2, 4), (3, 5), (4, 6), (2, 7), (7, 8), (6, 9), (9, 10),
+         (6, 10), (1, 4), (3, 6), (6, 8), (4, 7)],
+        [1e7, 1e7, 1e7, 5e7, 5e7, 1e7, 5e7, 1e7, 2e7, 1e7, 2e7, 5e7, 5e7, 1e8])
+    flow = stepped_flow(1, 7, 10, [(4.5, 1.5e7), (5.9, 0.0)])
+    return scenario(topo, TrafficMatrix([flow], 13.0), failures=[(6.9, 5)],
+                    horizon=13.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a cut in the tick that starts a RESET splits the views")
+def test_views_converge_when_a_cut_races_a_reset():
+    with converged_view_check():
+        run(cut_racing_reset_scenario())
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the split views leave link 13 asleep at node 6; the new tree includes "
+    "it, so the active set stops spanning once the other links are cut"))
+def test_active_set_spans_after_a_cut_races_a_reset():
+    run(cut_racing_reset_scenario())
+
+
+# --------------------------------------------------------------- clock
+
+@pytest.mark.xfail(strict=True, reason=(
+    "float window clock: window 24 ends at 24*0.2+0.2 = 5.000000000000001, "
+    "so the failure at t=5.0 applies one window early"))
+def test_failure_applies_in_the_window_that_starts_at_its_time():
+    active = run(baseline_failure_scenario()).metrics.active_links
+    first_after = next(w for w, n in enumerate(active) if n != active[0])
+    assert first_after == 25

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gospf.traffic
 from gospf.graph import compute_mcst, shortest_paths
 from gospf.traffic import (Flow, OutOfHorizon, TrafficError, TrafficMatrix,
                            allocate, generate_traffic, parse_traffic,
-                           write_traffic)
+                           place_flows, write_traffic)
 
 from conftest import make_topology, random_connected_topology
 
@@ -309,3 +310,86 @@ def test_generate_rejects_too_many_flows():
     topo = make_topology([(1, 2), (2, 3)], 1e7)
     with pytest.raises(TrafficError, match="ordered node pairs"):
         generate_traffic(topo, "daily", 7, 0.4, 1440.0)
+
+
+# ------------------------------------------------------------ flow placement
+
+def full_scan_place_flows(topology, count, ref_bandwidth=1e8):
+    """The greedy as it was before the lazy heap: rebuild every pair's link
+    set and rescan all available pairs on every pick."""
+    tables = {n: shortest_paths(topology, frozenset(topology.links), n, ref_bandwidth)
+              for n in topology.node_ids}
+    pair_paths = {(s, d): tables[s].paths[d]
+                  for s in topology.node_ids for d in topology.node_ids if s != d}
+
+    def path_links(path):
+        return {topology.link_between(u, v) for u, v in zip(path, path[1:])}
+
+    covered = set()
+    endpoint_use = {}
+    chosen = []
+    available = set(pair_paths)
+    for _ in range(count):
+        best_key = None
+        best_pair = None
+        for pair in sorted(available):
+            links = path_links(pair_paths[pair])
+            reuse = endpoint_use.get(pair[0], 0) + endpoint_use.get(pair[1], 0)
+            key = (-reuse, len(links - covered), len(links), -pair[0], -pair[1])
+            if best_key is None or key > best_key:
+                best_key = key
+                best_pair = pair
+        chosen.append(best_pair)
+        available.discard(best_pair)
+        covered |= path_links(pair_paths[best_pair])
+        for node in best_pair:
+            endpoint_use[node] = endpoint_use.get(node, 0) + 1
+    return chosen
+
+
+@st.composite
+def placement_cases(draw):
+    n = draw(st.integers(min_value=5, max_value=30))
+    topo = random_connected_topology(random.Random(draw(st.integers(0, 10_000))),
+                                     n, draw(st.integers(min_value=0, max_value=n)))
+    return topo, draw(st.integers(min_value=1, max_value=n * (n - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(placement_cases())
+def test_place_flows_picks_as_the_full_scan_greedy(case):
+    topo, count = case
+    assert place_flows(topo, count) == full_scan_place_flows(topo, count)
+
+
+def test_place_flows_garr48_golden(garr48):
+    # Recorded with the full-scan greedy.
+    assert place_flows(garr48, 17) == [
+        (24, 48), (7, 40), (11, 26), (27, 38), (28, 29), (9, 39), (31, 43),
+        (2, 47), (17, 32), (33, 34), (14, 35), (22, 36), (23, 37), (19, 44),
+        (20, 45), (41, 46), (15, 42)]
+
+
+def test_place_flows_rejects_more_flows_than_pairs():
+    topo = random_connected_topology(random.Random(3), 6, 2)
+    assert len(place_flows(topo, 30)) == 30
+    with pytest.raises(TrafficError) as info:
+        place_flows(topo, 31)
+    assert str(info.value) == "cannot place 31 flows over 30 ordered node pairs"
+
+
+def test_generate_computes_one_table_per_node_and_source(garr48, monkeypatch):
+    # One full-graph table per node serves both the placement and the flow
+    # weights; only the tree tables of the flow sources come on top.
+    calls = []
+    original = gospf.traffic.shortest_paths
+
+    def shortest_paths_counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gospf.traffic, "shortest_paths", shortest_paths_counted)
+    matrix = generate_traffic(garr48, "daily", 17, 0.4, 1440.0)
+    sources = {flow.src for flow in matrix.flows.values()}
+    assert len(sources) == 17
+    assert len(calls) == len(garr48.nodes) + len(sources) == 65
