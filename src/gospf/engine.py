@@ -292,6 +292,10 @@ class GospfController(ProtocolHooks):
         control bytes sent."""
         self.next_action = math.inf
         ctrl_bytes = 0
+        # The last tick drained every flood, so no copy of an older message
+        # can arrive: dedup keys are needed only within one tick.
+        for node in self.nodes.values():
+            node.seen.clear()
         for node in self.nodes.values():
             for tx in node.sample_tick(t1, samples):
                 ctrl_bytes += self._send(t1, tx)

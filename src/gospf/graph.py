@@ -1,17 +1,17 @@
 """Physical topology model, capacity-weighted spanning tree, and routing.
 
 The spanning tree and path computations are exact and fully deterministic:
-tree weights use rational arithmetic on inverse capacities, equal-weight
-edges are ordered by link id, and equal-cost paths are broken by the
-lexicographically smallest node-id sequence. Every router computing these
-from the same inputs arrives at the same answer.
+the tree takes links in descending capacity, an exact float comparison that
+orders inverse capacities as the rationals do, equal capacities are ordered
+by link id, and equal-cost paths are broken by the lexicographically
+smallest node-id sequence. Every router computing these from the same
+inputs arrives at the same answer.
 """
 
 import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class TopologyError(ValueError):
@@ -137,20 +137,16 @@ class _UnionFind:
 def compute_mcst(topology: Topology, exclude: frozenset[int] = frozenset()) -> SpanningTree:
     """Kruskal minimum spanning tree under edge weight 1/capacity.
 
-    Equal weights are broken by ascending link id so every caller gets the
-    identical edge set. Weights are exact rationals; no float comparisons.
+    Capacities are positive, so ascending 1/capacity is descending capacity,
+    and comparing the floats themselves is exact. Equal capacities are
+    broken by ascending link id so every caller gets the identical edge set.
     """
-    edges = []
-    for link in topology.links.values():
-        if link.link_id in exclude:
-            continue
-        weight = Fraction(1) / Fraction(link.capacity)
-        edges.append((weight, link.link_id, link))
-    edges.sort(key=lambda e: (e[0], e[1]))
+    edges = sorted((-link.capacity, link.link_id, link)
+                   for link in topology.links.values() if link.link_id not in exclude)
 
     uf = _UnionFind(topology.nodes)
     chosen: list[int] = []
-    for _weight, lid, link in edges:
+    for _neg_capacity, lid, link in edges:
         if uf.union(link.a, link.b):
             chosen.append(lid)
             if len(chosen) == len(topology.nodes) - 1:

@@ -3,7 +3,8 @@ problem: choose which links to power on and one path per demand so that
 link power plus routing cost is minimal, subject to flow conservation and
 alpha-scaled directed capacities.
 
-All feasibility and objective comparisons run in exact rational arithmetic.
+All feasibility and objective comparisons are exact: the solver scales each
+instance's rationals to integers, and the results are rationals again.
 Intended for desk-scale instances only; a guardrail rejects anything larger.
 """
 
@@ -78,11 +79,11 @@ class CmndSolution:
 
 
 def _lex_shortest_path(topology: Topology, active: frozenset[int], costs,
-                       src: int, dst: int) -> tuple[Fraction, tuple[int, ...]] | None:
+                       src: int, dst: int) -> tuple[int, tuple[int, ...]] | None:
     """Min-cost path with lexicographically smallest node sequence."""
-    best = {src: (Fraction(0), (src,))}
+    best = {src: (0, (src,))}
     settled = set()
-    heap = [(Fraction(0), (src,))]
+    heap = [(0, (src,))]
     while heap:
         cost, path = heapq.heappop(heap)
         node = path[-1]
@@ -120,86 +121,101 @@ def _path_arcs(path: tuple[int, ...]):
     return list(zip(path, path[1:]))
 
 
-def _check_capacity(topology: Topology, assignments, alpha: Fraction) -> bool:
-    """Directed load per link must stay within alpha * capacity."""
-    load: dict[tuple[int, int], Fraction] = {}
+def _check_capacity(topology: Topology, assignments, limits) -> bool:
+    """Directed load per link must stay within its limit, alpha * capacity
+    in the volumes' units."""
+    load = {}
     for volume, path in assignments:
         for arc in _path_arcs(path):
-            load[arc] = load.get(arc, Fraction(0)) + volume
-    for (u, v), total in load.items():
-        lid = topology.link_between(u, v)
-        if total > alpha * Fraction(topology.links[lid].capacity):
-            return False
-    return True
+            load[arc] = load.get(arc, 0) + volume
+    return all(total <= limits[topology.link_between(*arc)]
+               for arc, total in load.items())
 
 
-def _route_demands(instance: CmndInstance, active: frozenset[int], costs,
-                   demands) -> tuple[Fraction, dict[int, tuple[int, ...]]] | None:
+@dataclass(frozen=True)
+class _ScaledDemand:
+    """A nonzero demand in the solver's integer units: `weight` is its
+    volume in objective units per cost unit, `load` its volume in capacity
+    units."""
+    index: int
+    src: int
+    dst: int
+    weight: int
+    load: int
+
+
+def _route_demands(topology: Topology, active: frozenset[int], costs, limits,
+                   demands) -> tuple[int, dict[int, tuple[int, ...]]] | None:
     """Best single-path routing of `demands` over `active`, or None.
 
     Independent shortest paths are tried first; on a capacity conflict the
     joint assignment is searched exhaustively with cost-bound pruning.
     """
-    alpha = instance.alpha
-    topology = instance.topology
-    shortest: list[tuple[Fraction, tuple[int, ...]]] = []
-    for idx, d in demands:
+    shortest: list[tuple[int, tuple[int, ...]]] = []
+    for d in demands:
         found = _lex_shortest_path(topology, active, costs, d.src, d.dst)
         if found is None:
             return None
         shortest.append(found)
 
-    greedy = [(d.volume, path) for (_i, d), (_c, path) in zip(demands, shortest)]
-    if _check_capacity(topology, greedy, alpha):
-        routing = sum((d.volume * cost for (_i, d), (cost, _p) in zip(demands, shortest)),
-                      Fraction(0))
-        return routing, {idx: path for (idx, _d), (_c, path) in zip(demands, shortest)}
+    greedy = [(d.load, path) for d, (_c, path) in zip(demands, shortest)]
+    if _check_capacity(topology, greedy, limits):
+        routing = sum(d.weight * cost for d, (cost, _p) in zip(demands, shortest))
+        return routing, {d.index: path for d, (_c, path) in zip(demands, shortest)}
 
     # Conflict: enumerate per-demand simple paths, cheapest first.
     options = []
-    for (idx, d), (_c, _p) in zip(demands, shortest):
+    for d in demands:
         paths = _all_simple_paths(topology, active, d.src, d.dst)
         scored = sorted(
-            (sum((costs[topology.link_between(u, v)] for u, v in _path_arcs(p)),
-                 Fraction(0)), p)
+            (sum(costs[topology.link_between(u, v)] for u, v in _path_arcs(p)), p)
             for p in paths)
-        options.append((idx, d, scored))
-    min_tail = [Fraction(0)] * (len(options) + 1)
+        options.append((d, scored))
+    min_tail = [0] * (len(options) + 1)
     for i in range(len(options) - 1, -1, -1):
-        idx, d, scored = options[i]
-        min_tail[i] = min_tail[i + 1] + d.volume * scored[0][0]
+        d, scored = options[i]
+        min_tail[i] = min_tail[i + 1] + d.weight * scored[0][0]
 
-    best_cost: list[Fraction | None] = [None]
+    best_cost: list[int | None] = [None]
     best_paths: list[dict | None] = [None]
 
-    def search(i: int, load: dict, cost_so_far: Fraction, chosen: dict):
+    def search(i: int, load: dict, cost_so_far: int, chosen: dict):
         if best_cost[0] is not None and cost_so_far + min_tail[i] >= best_cost[0]:
             return
         if i == len(options):
             best_cost[0] = cost_so_far
             best_paths[0] = dict(chosen)
             return
-        idx, d, scored = options[i]
+        d, scored = options[i]
         for path_cost, path in scored:
             new_load = dict(load)
             ok = True
             for arc in _path_arcs(path):
-                lid = topology.link_between(*arc)
-                total = new_load.get(arc, Fraction(0)) + d.volume
-                if total > alpha * Fraction(topology.links[lid].capacity):
+                total = new_load.get(arc, 0) + d.load
+                if total > limits[topology.link_between(*arc)]:
                     ok = False
                     break
                 new_load[arc] = total
             if not ok:
                 continue
-            chosen[idx] = path
-            search(i + 1, new_load, cost_so_far + d.volume * path_cost, chosen)
-            del chosen[idx]
+            chosen[d.index] = path
+            search(i + 1, new_load, cost_so_far + d.weight * path_cost, chosen)
+            del chosen[d.index]
 
-    search(0, {}, Fraction(0), {})
+    search(0, {}, 0, {})
     if best_cost[0] is None:
         return None
     return best_cost[0], best_paths[0]
+
+
+def _scale(values) -> int:
+    """Least common denominator of exact rationals."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _scaled(value: Fraction, scale: int) -> int:
+    """`value * scale` for a `scale` that `value`'s denominator divides."""
+    return value.numerator * (scale // value.denominator)
 
 
 def solve_static(instance: CmndInstance, *, max_links: int = 20,
@@ -210,6 +226,13 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
     when the committed power plus a routing lower bound cannot beat the
     incumbent, or when the undecided links can no longer connect some demand
     pair.
+
+    The search runs in integers. Costs are scaled by their common
+    denominator, objective terms (power, volume * cost) by one scale K, and
+    volumes and alpha * capacity by one shared capacity scale. Multiplying
+    by a positive integer preserves every comparison, ties included, so the
+    search takes the same steps as in the rationals; the result is converted
+    back once.
     """
     topology = instance.topology
     if len(topology.links) > max_links:
@@ -220,8 +243,6 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
         raise InstanceTooLarge(
             f"{len(nonzero)} demands exceeds the guardrail of {max_demands}")
 
-    costs = instance.link_costs(ref_bandwidth)
-    powers = instance.link_powers()
     link_ids = sorted(topology.links)
     zero_paths = {i: () for i, d in enumerate(instance.demands) if d.volume == 0}
 
@@ -229,42 +250,59 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
         return CmndSolution(active=frozenset(), paths=dict(zero_paths),
                             power_cost=Fraction(0), routing_cost=Fraction(0))
 
+    exact_costs = instance.link_costs(ref_bandwidth)
+    exact_powers = instance.link_powers()
+    exact_limits = {lid: instance.alpha * Fraction(link.capacity)
+                    for lid, link in topology.links.items()}
+    volumes = [Fraction(d.volume) for _i, d in nonzero]
+    cost_scale = _scale(exact_costs.values())
+    objective_scale = math.lcm(_scale(exact_powers.values()),
+                               cost_scale * _scale(volumes))
+    capacity_scale = _scale(itertools.chain(volumes, exact_limits.values()))
+    costs = {lid: _scaled(c, cost_scale) for lid, c in exact_costs.items()}
+    powers = {lid: _scaled(p, objective_scale) for lid, p in exact_powers.items()}
+    limits = {lid: _scaled(c, capacity_scale) for lid, c in exact_limits.items()}
+    demands = [_ScaledDemand(i, d.src, d.dst,
+                             _scaled(volume, objective_scale // cost_scale),
+                             _scaled(volume, capacity_scale))
+               for (i, d), volume in zip(nonzero, volumes)]
+
     # Routing lower bound: every demand pays at least its full-graph min cost.
     full = frozenset(link_ids)
-    routing_lb = Fraction(0)
-    for _i, d in nonzero:
+    routing_lb = 0
+    for d in demands:
         found = _lex_shortest_path(topology, full, costs, d.src, d.dst)
         if found is None:
             raise Infeasible(f"no path for demand {d.src}->{d.dst} even with all links")
-        routing_lb += d.volume * found[0]
+        routing_lb += d.weight * found[0]
 
     best: dict = {"objective": None, "solution": None}
 
-    def consider(active: frozenset[int], power: Fraction):
-        routed = _route_demands(instance, active, costs, nonzero)
+    def consider(active: frozenset[int], power: int):
+        routed = _route_demands(topology, active, costs, limits, demands)
         if routed is None:
             return
         routing, paths = routed
         objective = power + routing
         if best["objective"] is None or objective < best["objective"]:
-            paths = dict(paths)
-            paths.update(zero_paths)
             best["objective"] = objective
-            best["solution"] = CmndSolution(
-                active=active, paths=paths, power_cost=power, routing_cost=routing)
+            best["solution"] = (active, paths, power, routing)
 
     def endpoints_connectable(included: list[int], undecided: list[int]) -> bool:
         uf = _UnionFind(topology.nodes)
         for lid in itertools.chain(included, undecided):
             link = topology.links[lid]
             uf.union(link.a, link.b)
-        return all(uf.find(d.src) == uf.find(d.dst) for _i, d in nonzero)
+        return all(uf.find(d.src) == uf.find(d.dst) for d in demands)
 
     # Seed the incumbent with the full link set before branching.
-    full_power = sum((powers[lid] for lid in link_ids), Fraction(0))
-    consider(full, full_power)
+    consider(full, sum(powers.values()))
 
-    def branch(i: int, included: list[int], power: Fraction):
+    # Every node reached has its endpoints connectable over included plus
+    # undecided links: the root because every demand routes over all links,
+    # an include child because that union is its parent's, and an exclude
+    # child because it is checked before the step.
+    def branch(i: int, included: list[int], power: int):
         if best["objective"] is not None and power + routing_lb >= best["objective"]:
             return
         if i == len(link_ids):
@@ -272,18 +310,20 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
             if active != full:
                 consider(active, power)
             return
-        if not endpoints_connectable(included, link_ids[i:]):
-            return
         lid = link_ids[i]
-        branch(i + 1, included, power)  # exclude first: cheaper subsets early
+        if endpoints_connectable(included, link_ids[i + 1:]):
+            branch(i + 1, included, power)  # exclude first: cheaper subsets early
         included.append(lid)
         branch(i + 1, included, power + powers[lid])
         included.pop()
 
-    branch(0, [], Fraction(0))
+    branch(0, [], 0)
     if best["solution"] is None:
         raise Infeasible("no link subset supports the demands")
-    return best["solution"]
+    active, paths, power, routing = best["solution"]
+    return CmndSolution(active=active, paths={**paths, **zero_paths},
+                        power_cost=Fraction(power, objective_scale),
+                        routing_cost=Fraction(routing, objective_scale))
 
 
 @dataclass
@@ -308,11 +348,12 @@ def check_flow_feasibility(topology: Topology, flows, alpha: Fraction) -> bool:
             if topology.link_between(u, v) is None:
                 return False
         assignments.append((Fraction(rate), path))
-    return _check_capacity(topology, assignments, alpha)
+    limits = {lid: alpha * Fraction(link.capacity) for lid, link in topology.links.items()}
+    return _check_capacity(topology, assignments, limits)
 
 
-def heuristic_gap(scenario: Scenario, *, max_links: int = 20, max_demands: int = 8,
-                  solution_cache: dict | None = None) -> list[GapRow]:
+def heuristic_gap(scenario: Scenario, *, max_links: int = 20,
+                  max_demands: int = 8) -> list[GapRow]:
     """Run the protocol on `scenario` and score each quiesced window's active
     set against the exact optimum for that window's demands."""
     if scenario.config.mode != MODE_GOSPF:
@@ -324,8 +365,11 @@ def heuristic_gap(scenario: Scenario, *, max_links: int = 20, max_demands: int =
     result = run(scenario, capture_states=True)
     alpha = Fraction(scenario.config.alpha)
     powers = link_powers(scenario.topology)
-    cache = solution_cache if solution_cache is not None else {}
-    # Quiesced windows repeat the same realized flows; check each set once.
+    # A row depends only on the window's active set and flows, and quiesced
+    # windows repeat them: score each distinct state once. Distinct states
+    # still share demands or flows, so those get their own caches.
+    scored: dict[tuple, tuple[float, float, float, bool]] = {}
+    cache: dict[tuple[Demand, ...], Fraction] = {}
     feasibility: dict[tuple, bool] = {}
     rows: list[GapRow] = []
 
@@ -333,6 +377,10 @@ def heuristic_gap(scenario: Scenario, *, max_links: int = 20, max_demands: int =
         if not quiet:
             continue
         state = result.states[w]
+        state_key = (state.active, tuple(sorted(state.flows.items())))
+        if state_key in scored:
+            rows.append(GapRow(w, *scored[state_key]))
+            continue
         agg: dict[tuple[int, int], Fraction] = {}
         flows_for_check = []
         for fid in sorted(state.flows):
@@ -348,28 +396,24 @@ def heuristic_gap(scenario: Scenario, *, max_links: int = 20, max_demands: int =
             raise InstanceTooLarge(
                 f"{len(demands)} demands exceeds the guardrail of {max_demands}")
 
-        key = demands
-        if key in cache:
-            optimal_power = cache[key]
-        else:
+        if demands not in cache:
             instance = CmndInstance(scenario.topology, demands, alpha)
             solution = solve_static(instance, max_links=max_links,
                                     max_demands=max_demands,
                                     ref_bandwidth=scenario.config.ref_bandwidth)
-            optimal_power = solution.power_cost
-            cache[key] = optimal_power
+            cache[demands] = solution.power_cost
+        optimal_power = cache[demands]
 
         heuristic_power = sum((powers[lid] for lid in state.active), Fraction(0))
         flows_key = tuple(flows_for_check)
         if flows_key not in feasibility:
             feasibility[flows_key] = check_flow_feasibility(scenario.topology,
                                                             flows_for_check, alpha)
-        feasible = feasibility[flows_key]
         ratio = (float(heuristic_power / optimal_power) if optimal_power > 0
                  else math.inf)
-        rows.append(GapRow(window=w, heuristic_power=float(heuristic_power),
-                           optimal_power=float(optimal_power),
-                           gap_ratio=ratio, feasible=feasible))
+        scored[state_key] = (float(heuristic_power), float(optimal_power), ratio,
+                             feasibility[flows_key])
+        rows.append(GapRow(w, *scored[state_key]))
     return rows
 
 

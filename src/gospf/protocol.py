@@ -108,6 +108,7 @@ class GospfNode:
                                     else InterfaceRole.MCST_UNCUT)
         self.matrix: dict[int, set[int]] = {}
         self.safeguard: dict[int, float] = {}
+        # Keys of the messages seen since the controller's last tick began.
         self.seen: set[tuple[int, int]] = set()
         self.scan_floor = 0
         self.reset_until: float | None = None

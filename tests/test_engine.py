@@ -492,6 +492,29 @@ def test_views_converge_every_tick_on_the_golden_scenarios(garr48, make):
     assert ticks
 
 
+@pytest.mark.parametrize("make", [
+    lambda garr48: cut_graft_scenario(),
+    tree_failure_scenario,
+], ids=["cut_graft", "tree_failure"])
+def test_dedup_keys_hold_only_the_last_ticks_messages(garr48, make, monkeypatch):
+    original = GospfController.tick
+    sent = []
+
+    def tick(ctrl, t1, samples):
+        before = {nid: node._seq for nid, node in ctrl.nodes.items()}
+        ctrl_bytes = original(ctrl, t1, samples)
+        fresh = {(nid, seq) for nid, node in ctrl.nodes.items()
+                 for seq in range(before[nid], node._seq)}
+        for node in ctrl.nodes.values():
+            assert node.seen <= fresh, f"stale dedup keys after the tick at t={t1}"
+        sent.append(len(fresh))
+        return ctrl_bytes
+
+    monkeypatch.setattr(GospfController, "tick", tick)
+    run(make(garr48))
+    assert sum(map(bool, sent)) > 1
+
+
 @st.composite
 def protocol_cases(draw):
     # Failures hit links outside the initial spanning tree, so they are

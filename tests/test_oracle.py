@@ -1,14 +1,20 @@
+import dataclasses
+import hashlib
+import heapq
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import gospf.oracle
 from gospf.config import ScenarioConfig, parse_config
 from gospf.engine import Scenario, run
-from gospf.oracle import (CmndInstance, Demand, Infeasible, InstanceTooLarge,
-                          check_flow_feasibility, gap_csv, heuristic_gap,
-                          solve_static)
+from gospf.graph import Topology, _UnionFind
+from gospf.oracle import (CmndInstance, CmndSolution, Demand, Infeasible,
+                          InstanceTooLarge, check_flow_feasibility, gap_csv,
+                          heuristic_gap, solve_static)
 from gospf.traffic import Flow, TrafficMatrix
 
 from conftest import make_topology, random_connected_topology
@@ -237,6 +243,272 @@ def test_random_search_never_beats_solver(seed):
             assert optimum.objective <= total
 
 
+# ------------------------------------------ integer solver vs. rationals
+
+def fraction_lex_shortest_path(topology: Topology, active: frozenset[int], costs,
+                               src: int, dst: int) -> tuple[Fraction, tuple[int, ...]] | None:
+    """Min-cost path with lexicographically smallest node sequence."""
+    best = {src: (Fraction(0), (src,))}
+    settled = set()
+    heap = [(Fraction(0), (src,))]
+    while heap:
+        cost, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in settled:
+            continue
+        if node == dst:
+            return cost, path
+        settled.add(node)
+        for nbr, lid in topology.adjacency[node]:
+            if lid not in active or nbr in settled:
+                continue
+            cand = (cost + costs[lid], path + (nbr,))
+            if nbr not in best or cand < best[nbr]:
+                best[nbr] = cand
+                heapq.heappush(heap, cand)
+    return None
+
+
+def fraction_all_simple_paths(topology: Topology, active: frozenset[int],
+                              src: int, dst: int) -> list[tuple[int, ...]]:
+    paths = []
+    stack = [(src, (src,))]
+    while stack:
+        node, path = stack.pop()
+        if node == dst:
+            paths.append(path)
+            continue
+        for nbr, lid in sorted(topology.adjacency[node], reverse=True):
+            if lid in active and nbr not in path:
+                stack.append((nbr, path + (nbr,)))
+    return paths
+
+
+def fraction_path_arcs(path: tuple[int, ...]):
+    return list(zip(path, path[1:]))
+
+
+def fraction_check_capacity(topology: Topology, assignments, alpha: Fraction) -> bool:
+    """Directed load per link must stay within alpha * capacity."""
+    load: dict[tuple[int, int], Fraction] = {}
+    for volume, path in assignments:
+        for arc in fraction_path_arcs(path):
+            load[arc] = load.get(arc, Fraction(0)) + volume
+    for (u, v), total in load.items():
+        lid = topology.link_between(u, v)
+        if total > alpha * Fraction(topology.links[lid].capacity):
+            return False
+    return True
+
+
+def fraction_route_demands(instance: CmndInstance, active: frozenset[int], costs,
+                           demands) -> tuple[Fraction, dict[int, tuple[int, ...]]] | None:
+    """Best single-path routing of `demands` over `active`, or None.
+
+    Independent shortest paths are tried first; on a capacity conflict the
+    joint assignment is searched exhaustively with cost-bound pruning.
+    """
+    alpha = instance.alpha
+    topology = instance.topology
+    shortest: list[tuple[Fraction, tuple[int, ...]]] = []
+    for idx, d in demands:
+        found = fraction_lex_shortest_path(topology, active, costs, d.src, d.dst)
+        if found is None:
+            return None
+        shortest.append(found)
+
+    greedy = [(d.volume, path) for (_i, d), (_c, path) in zip(demands, shortest)]
+    if fraction_check_capacity(topology, greedy, alpha):
+        routing = sum((d.volume * cost for (_i, d), (cost, _p) in zip(demands, shortest)),
+                      Fraction(0))
+        return routing, {idx: path for (idx, _d), (_c, path) in zip(demands, shortest)}
+
+    # Conflict: enumerate per-demand simple paths, cheapest first.
+    options = []
+    for (idx, d), (_c, _p) in zip(demands, shortest):
+        paths = fraction_all_simple_paths(topology, active, d.src, d.dst)
+        scored = sorted(
+            (sum((costs[topology.link_between(u, v)] for u, v in fraction_path_arcs(p)),
+                 Fraction(0)), p)
+            for p in paths)
+        options.append((idx, d, scored))
+    min_tail = [Fraction(0)] * (len(options) + 1)
+    for i in range(len(options) - 1, -1, -1):
+        idx, d, scored = options[i]
+        min_tail[i] = min_tail[i + 1] + d.volume * scored[0][0]
+
+    best_cost: list[Fraction | None] = [None]
+    best_paths: list[dict | None] = [None]
+
+    def search(i: int, load: dict, cost_so_far: Fraction, chosen: dict):
+        if best_cost[0] is not None and cost_so_far + min_tail[i] >= best_cost[0]:
+            return
+        if i == len(options):
+            best_cost[0] = cost_so_far
+            best_paths[0] = dict(chosen)
+            return
+        idx, d, scored = options[i]
+        for path_cost, path in scored:
+            new_load = dict(load)
+            ok = True
+            for arc in fraction_path_arcs(path):
+                lid = topology.link_between(*arc)
+                total = new_load.get(arc, Fraction(0)) + d.volume
+                if total > alpha * Fraction(topology.links[lid].capacity):
+                    ok = False
+                    break
+                new_load[arc] = total
+            if not ok:
+                continue
+            chosen[idx] = path
+            search(i + 1, new_load, cost_so_far + d.volume * path_cost, chosen)
+            del chosen[idx]
+
+    search(0, {}, Fraction(0), {})
+    if best_cost[0] is None:
+        return None
+    return best_cost[0], best_paths[0]
+
+
+def fraction_solve_static(instance: CmndInstance, *, max_links: int = 20,
+                          max_demands: int = 8, ref_bandwidth: float = 1e8) -> CmndSolution:
+    """The branch and bound as it was in rational arithmetic, connectivity
+    checked at every node."""
+    topology = instance.topology
+    if len(topology.links) > max_links:
+        raise InstanceTooLarge(
+            f"{len(topology.links)} links exceeds the guardrail of {max_links}")
+    nonzero = [(i, d) for i, d in enumerate(instance.demands) if d.volume > 0]
+    if len(nonzero) > max_demands:
+        raise InstanceTooLarge(
+            f"{len(nonzero)} demands exceeds the guardrail of {max_demands}")
+
+    costs = instance.link_costs(ref_bandwidth)
+    powers = instance.link_powers()
+    link_ids = sorted(topology.links)
+    zero_paths = {i: () for i, d in enumerate(instance.demands) if d.volume == 0}
+
+    if not nonzero:
+        return CmndSolution(active=frozenset(), paths=dict(zero_paths),
+                            power_cost=Fraction(0), routing_cost=Fraction(0))
+
+    # Routing lower bound: every demand pays at least its full-graph min cost.
+    full = frozenset(link_ids)
+    routing_lb = Fraction(0)
+    for _i, d in nonzero:
+        found = fraction_lex_shortest_path(topology, full, costs, d.src, d.dst)
+        if found is None:
+            raise Infeasible(f"no path for demand {d.src}->{d.dst} even with all links")
+        routing_lb += d.volume * found[0]
+
+    best: dict = {"objective": None, "solution": None}
+
+    def consider(active: frozenset[int], power: Fraction):
+        routed = fraction_route_demands(instance, active, costs, nonzero)
+        if routed is None:
+            return
+        routing, paths = routed
+        objective = power + routing
+        if best["objective"] is None or objective < best["objective"]:
+            paths = dict(paths)
+            paths.update(zero_paths)
+            best["objective"] = objective
+            best["solution"] = CmndSolution(
+                active=active, paths=paths, power_cost=power, routing_cost=routing)
+
+    def endpoints_connectable(included: list[int], undecided: list[int]) -> bool:
+        uf = _UnionFind(topology.nodes)
+        for lid in itertools.chain(included, undecided):
+            link = topology.links[lid]
+            uf.union(link.a, link.b)
+        return all(uf.find(d.src) == uf.find(d.dst) for _i, d in nonzero)
+
+    # Seed the incumbent with the full link set before branching.
+    full_power = sum((powers[lid] for lid in link_ids), Fraction(0))
+    consider(full, full_power)
+
+    def branch(i: int, included: list[int], power: Fraction):
+        if best["objective"] is not None and power + routing_lb >= best["objective"]:
+            return
+        if i == len(link_ids):
+            active = frozenset(included)
+            if active != full:
+                consider(active, power)
+            return
+        if not endpoints_connectable(included, link_ids[i:]):
+            return
+        lid = link_ids[i]
+        branch(i + 1, included, power)  # exclude first: cheaper subsets early
+        included.append(lid)
+        branch(i + 1, included, power + powers[lid])
+        included.pop()
+
+    branch(0, [], Fraction(0))
+    if best["solution"] is None:
+        raise Infeasible("no link subset supports the demands")
+    return best["solution"]
+
+
+# garr48's capacities give non-integer costs (1e8 / 155e6 = 20/31); 3e7 gives
+# 10/3.
+GARR_CAPACITIES = (34e6, 155e6, 622e6, 2.5e9, 3e7)
+
+
+def assert_same_solution(instance):
+    try:
+        expected = fraction_solve_static(instance)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            solve_static(instance)
+        return
+    solution = solve_static(instance)
+    assert solution.active == expected.active
+    assert solution.paths == expected.paths
+    assert type(solution.power_cost) is type(solution.routing_cost) is Fraction
+    assert solution.power_cost == expected.power_cost
+    assert solution.routing_cost == expected.routing_cost
+
+
+def tie_instance():
+    # Two demands that cannot share a path between two exact-cost-tied
+    # two-hop routes, at a non-integer cost and a dyadic volume.
+    topo = make_topology([(1, 2), (2, 3), (1, 4), (4, 3)], 155e6)
+    demands = (Demand(1, 3, Fraction(70e6 + 0.25)), Demand(1, 3, Fraction(70e6 + 0.5)))
+    return CmndInstance(topo, demands, Fraction(0.8))
+
+
+@st.composite
+def exact_cases(draw):
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    topo = random_connected_topology(rng, draw(st.integers(4, 7)),
+                                     draw(st.integers(1, 3)), GARR_CAPACITIES)
+    topo = Topology(topo.nodes, [dataclasses.replace(link, p_active=rng.choice((1.0, 0.3, 1.7)))
+                                 for link in topo.links.values()])
+    demands = []
+    for _ in range(draw(st.integers(1, 4))):
+        src, dst = rng.sample(sorted(topo.nodes), 2)
+        volume = rng.choice((0.0, rng.randint(8, 60) * 1e6 + rng.choice((0.25, 0.5, 0.75))))
+        demands.append(Demand(src, dst, Fraction(volume)))
+    # Fraction(0.8) is the float's exact value, with a 2**52 denominator.
+    alpha = draw(st.sampled_from((Fraction(0.8), Fraction(1, 2), Fraction(1))))
+    return CmndInstance(topo, tuple(demands), alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_cases())
+@example(tie_instance())
+def test_integer_solver_equals_the_rational_solver(instance):
+    assert_same_solution(instance)
+
+
+def test_exact_cost_tie_is_broken_as_in_the_rationals():
+    instance = tie_instance()
+    costs = instance.link_costs()
+    assert costs[1] + costs[2] == costs[3] + costs[4]
+    assert_same_solution(instance)
+    assert sorted(solve_static(instance).paths.values()) == [(1, 2, 3), (1, 4, 3)]
+
+
 # -------------------------------------------------------------- gap reports
 
 def tiny_scenario(rate):
@@ -309,3 +581,74 @@ def test_walkthrough_end_state_is_design_feasible():
     rows = heuristic_gap(scenario)
     assert rows and all(row.feasible for row in rows)
     assert all(row.gap_ratio >= 1.0 for row in rows)
+
+
+def gap_scenario(seed, capacities, alpha):
+    """Seven nodes, four chords and three UDP flows of four non-integer
+    rate steps each."""
+    rng = random.Random(seed)
+    topo = random_connected_topology(rng, 7, 4, capacities)
+    min_cap = min(link.capacity for link in topo.links.values())
+    flows = []
+    for fid in (1, 2, 3):
+        src, dst = rng.sample(sorted(topo.nodes), 2)
+        flow = Flow(fid, src, dst, "udp")
+        for step in range(4):
+            flow.add_step(2.0 * step, rng.uniform(0.05, 0.35) * min_cap)
+        flows.append(flow)
+    cfg = parse_config(f"horizon=8.0\nalpha={alpha}")
+    return Scenario(topo, TrafficMatrix(flows, cfg.horizon), cfg)
+
+
+@pytest.mark.parametrize("seed, capacities, alpha, digest", [
+    (5, (1e7, 2e7, 5e7), 0.8,
+     "bb82081f95b55c392eff5ac7e9cf34c65a7ec5a6734effc4ca592f995d9d063b"),
+    (6, (34e6, 155e6, 622e6, 3e7), 0.8,
+     "169872b692a28ce16dde34e3e3336057cbd0a71463d74b9d0230d90bc787a90f"),
+    (1, (34e6, 155e6, 2.5e9, 3e7), 0.5,
+     "fb44a270c7a873128a72719ecba6dd2dbed097f320c65c4880aeb2396ad63dcb"),
+])
+def test_gap_csv_golden(seed, capacities, alpha, digest):
+    # Recorded with the rational solver, before rows were memoised by state.
+    text = gap_csv(heuristic_gap(gap_scenario(seed, capacities, alpha)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_gap_solves_each_demand_set_and_checks_each_flow_set_once(monkeypatch):
+    # At seed 5 one active-set change leaves the flows as they were, so four
+    # distinct window states share three demand sets and three flow sets.
+    scenario = gap_scenario(5, (1e7, 2e7, 5e7), 0.8)
+    solved, checked = [], []
+    original_solve = gospf.oracle.solve_static
+    original_check = gospf.oracle.check_flow_feasibility
+
+    def solve_counted(instance, **kwargs):
+        solved.append(instance.demands)
+        return original_solve(instance, **kwargs)
+
+    def check_counted(topology, flows, alpha):
+        checked.append(tuple(flows))
+        return original_check(topology, flows, alpha)
+
+    monkeypatch.setattr(gospf.oracle, "solve_static", solve_counted)
+    monkeypatch.setattr(gospf.oracle, "check_flow_feasibility", check_counted)
+    rows = heuristic_gap(scenario)
+
+    result = run(scenario, capture_states=True)
+    states, demand_sets, flow_sets = set(), set(), set()
+    for w, quiet in enumerate(result.metrics.quiesced):
+        if not quiet:
+            continue
+        state = result.states[w]
+        states.add((state.active, tuple(sorted(state.flows.items()))))
+        live = [(fid, path, rate) for fid, (path, rate)
+                in sorted(state.flows.items()) if rate > 0]
+        flow_sets.add(tuple((path, rate) for _fid, path, rate in live))
+        agg = {}
+        for fid, _path, rate in live:
+            flow = scenario.traffic.flows[fid]
+            agg[(flow.src, flow.dst)] = agg.get((flow.src, flow.dst), 0) + Fraction(rate)
+        demand_sets.add(tuple(Demand(s, d, v) for (s, d), v in sorted(agg.items())))
+    assert len(solved) == len(demand_sets) and set(solved) == demand_sets
+    assert len(checked) == len(flow_sets) and set(checked) == flow_sets
+    assert len(rows) > len(states) > len(flow_sets) == len(demand_sets) > 1
