@@ -63,6 +63,7 @@ def cmd_run(args) -> int:
     (out / "metrics.csv").write_text(result.metrics.csv_text())
     (out / "events.log").write_text("\n".join(result.events) + ("\n" if result.events else ""))
     (out / "summary.txt").write_text(result.metrics.summary_text())
+    (out / "links.csv").write_text(result.links_csv_text(scenario.topology))
     log.info("run complete: %d windows, %.3f J", len(result.metrics.times),
              result.metrics.total_energy_j)
     return 0

@@ -18,7 +18,7 @@ from .config import ConfigError, ScenarioConfig
 from .energy import EnergyAccount, OperationalState, plan_window, total_network_energy
 from .graph import (DisconnectedTopology, RoutingTable, SpanningTree, Topology,
                     bfs_hop_counts, is_connected, shortest_paths, write_topology)
-from .protocol import GospfNode, ProtocolHooks, Transmission
+from .protocol import GospfNode, ProtocolHooks
 from .traffic import TrafficMatrix, allocate, write_traffic
 
 MODE_GOSPF = "gospf"
@@ -127,6 +127,19 @@ class RunResult:
     events: list[str]
     states: list[WindowState] | None = None
     accounts: dict[tuple[int, int], EnergyAccount] | None = None  # (link, node)
+    # Message copies sent over each link, for links that carried any.
+    flood_copies: dict[int, int] = field(default_factory=dict)
+
+    def links_csv_text(self, topology: Topology) -> str:
+        """One row per link: flood copies, then each endpoint interface's
+        wake-ups and seconds asleep."""
+        lines = ["link,a,b,flood_copies,wakeups_a,wakeups_b,sleep_s_a,sleep_s_b"]
+        for lid, link in topology.links.items():
+            acct_a, acct_b = self.accounts[(lid, link.a)], self.accounts[(lid, link.b)]
+            lines.append(f"{lid},{link.a},{link.b},{self.flood_copies.get(lid, 0)},"
+                         f"{acct_a.switch_count},{acct_b.switch_count},"
+                         f"{acct_a.t_sleep!r},{acct_b.t_sleep!r}")
+        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -181,6 +194,7 @@ class AlwaysOn:
     def __init__(self, run: "_Run"):
         self.run = run
         self.tables: dict[int, RoutingTable] = {}  # per source, until a failure
+        self.flood_copies: dict[int, int] = {}  # never floods
 
     def fail(self, lid: int) -> None:
         for side in self.run.topology.links[lid].endpoints():
@@ -230,12 +244,10 @@ class GospfController(ProtocolHooks):
             safeguard_interval=cfg.safeguard, mcst_reset_timer=cfg.mcst_reset_timer,
             t_sample=cfg.t_sample, ref_bandwidth=cfg.ref_bandwidth, hooks=self)
             for nid in run.topology.node_ids}
-        # Control bits each link carried since the last window start.
-        self.pending_ctrl_bits: dict[int, float] = {}
-        # (arrival, origin, seq, receiver, counter, transmission); the unique
-        # counter keeps heap comparisons off the transmission.
-        self.msg_queue: list[tuple[float, int, int, int, int, Transmission]] = []
-        self.queue_counter = 0
+        # Message copies each link carried since the last window start, and
+        # over the whole run.
+        self.window_copies: dict[int, int] = {}
+        self.flood_copies: dict[int, int] = {}
 
     def record_event(self, t, node, event, link, seq):
         self.run.events.append(f"t={t:.6f} node={node} event={event} link={link} seq={seq}")
@@ -276,8 +288,9 @@ class GospfController(ProtocolHooks):
                     f"network; no spanning tree survives") from exc
             if node.reset_until is None:
                 self.next_action = -math.inf
-        pending, self.pending_ctrl_bits = self.pending_ctrl_bits, {}
-        return pending
+        window, self.window_copies = self.window_copies, {}
+        bits = self.run.cfg.control_msg_bytes * 8.0
+        return {lid: n * bits for lid, n in window.items()}
 
     def awake(self, lid: int) -> bool:
         link = self.run.topology.links[lid]
@@ -289,25 +302,41 @@ class GospfController(ProtocolHooks):
 
     def tick(self, t1: float, samples: dict[int, float]) -> int:
         """Periodic checks, then drain the resulting floods; returns the
-        control bytes sent."""
+        control bytes sent. Each copy in flight is a heap entry (arrival,
+        origin, seq, receiver, counter, link, message); the counter numbers
+        the tick's copies and keeps comparisons off the link and message."""
         self.next_action = math.inf
-        ctrl_bytes = 0
+        nodes = self.nodes
+        latency = self.run.cfg.control_latency
+        copies = self.window_copies
+        queue = []
+        push, pop = heapq.heappush, heapq.heappop
+        counter = 0
         # The last tick drained every flood, so no copy of an older message
         # can arrive: dedup keys are needed only within one tick.
-        for node in self.nodes.values():
+        for node in nodes.values():
             node.seen.clear()
-        for node in self.nodes.values():
-            for tx in node.sample_tick(t1, samples):
-                ctrl_bytes += self._send(t1, tx)
-        while self.msg_queue:
-            arrival, _origin, _seq, receiver, _counter, tx = heapq.heappop(self.msg_queue)
-            for out in self.nodes[receiver].handle_message(
-                    arrival, tx.message, arrival_link=tx.link_id):
-                ctrl_bytes += self._send(arrival, out)
-        if self.next_action == math.inf:
+        for node in nodes.values():
+            for lid, _sender, receiver, msg in node.sample_tick(t1, samples):
+                push(queue, (t1 + latency, msg.origin, msg.seq, receiver, counter, lid, msg))
+                counter += 1
+                copies[lid] = copies.get(lid, 0) + 1
+        while queue:
+            arrival, _origin, _seq, receiver, _counter, link, msg = pop(queue)
+            for lid, _sender, peer, out in nodes[receiver].handle_message(
+                    arrival, msg, arrival_link=link):
+                push(queue, (arrival + latency, out.origin, out.seq, peer, counter, lid, out))
+                counter += 1
+                copies[lid] = copies.get(lid, 0) + 1
+        if counter:
+            totals = self.flood_copies
+            for lid, n in copies.items():
+                totals[lid] = totals.get(lid, 0) + n
+            self.next_action = -math.inf
+        elif self.next_action == math.inf:
             self.next_action = min(node.next_safeguard_expiry(t1)
-                                   for node in self.nodes.values())
-        return ctrl_bytes
+                                   for node in nodes.values())
+        return counter * self.run.cfg.control_msg_bytes
 
     def resetting(self) -> bool:
         return any(node.reset_until is not None for node in self.nodes.values())
@@ -318,18 +347,6 @@ class GospfController(ProtocolHooks):
         time at which a node's safeguard comparisons change; a tick that
         ends before it, on the same samples, repeats that tick exactly."""
         return self.next_action
-
-    def _send(self, send_time: float, tx: Transmission) -> int:
-        """Queue a transmission; returns its size in bytes."""
-        cfg = self.run.cfg
-        msg = tx.message
-        heapq.heappush(self.msg_queue, (send_time + cfg.control_latency, msg.origin,
-                                        msg.seq, tx.receiver, self.queue_counter, tx))
-        self.queue_counter += 1
-        self.record_event(send_time, tx.sender, "FLOOD", tx.link_id, msg.seq)
-        self.pending_ctrl_bits[tx.link_id] = \
-            self.pending_ctrl_bits.get(tx.link_id, 0.0) + cfg.control_msg_bytes * 8.0
-        return cfg.control_msg_bytes
 
 
 class _Run:
@@ -495,8 +512,8 @@ class _Run:
                             f"window {w}: active link set no longer spans the network")
                     checked_active = active
 
-                quiet = (len(self.events) == events_before and not failed_this_window
-                         and not ctrl.resetting())
+                quiet = (not ctrl_bytes and len(self.events) == events_before
+                         and not failed_this_window and not ctrl.resetting())
 
             # Wake transition costs charged by the ticks land in this window.
             new_total = total_network_energy(self.accounts.values())
@@ -526,7 +543,7 @@ class _Run:
 
         metrics.congestion_unresolved = self.congestion_unresolved
         return RunResult(metrics=metrics, events=self.events, states=states,
-                         accounts=self.accounts)
+                         accounts=self.accounts, flood_copies=ctrl.flood_copies)
 
 
 def run(scenario: Scenario, capture_states: bool = False) -> RunResult:

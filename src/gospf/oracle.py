@@ -288,9 +288,19 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
             best["objective"] = objective
             best["solution"] = (active, paths, power, routing)
 
-    def endpoints_connectable(included: list[int], undecided: list[int]) -> bool:
-        uf = _UnionFind(topology.nodes)
-        for lid in itertools.chain(included, undecided):
+    # One union-find per depth i over the links still undecided there,
+    # link_ids[i + 1:]; a check copies it and adds the included links.
+    undecided = []
+    uf = _UnionFind(topology.nodes)
+    for lid in reversed(link_ids):
+        undecided.append(uf.copy())
+        link = topology.links[lid]
+        uf.union(link.a, link.b)
+    undecided.reverse()
+
+    def endpoints_connectable(i: int, included: list[int]) -> bool:
+        uf = undecided[i].copy()
+        for lid in included:
             link = topology.links[lid]
             uf.union(link.a, link.b)
         return all(uf.find(d.src) == uf.find(d.dst) for d in demands)
@@ -311,7 +321,7 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
                 consider(active, power)
             return
         lid = link_ids[i]
-        if endpoints_connectable(included, link_ids[i + 1:]):
+        if endpoints_connectable(i, included):
             branch(i + 1, included, power)  # exclude first: cheaper subsets early
         included.append(lid)
         branch(i + 1, included, power + powers[lid])

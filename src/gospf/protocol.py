@@ -10,6 +10,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .energy import (InterfaceRole, OperationalState, UtilizationClass, classify,
                      validate_thresholds)
@@ -48,8 +49,7 @@ class ControlMessage:
         return (self.origin, self.seq)
 
 
-@dataclass(frozen=True)
-class Transmission:
+class Transmission(NamedTuple):
     """One copy of a message sent over one link."""
 
     link_id: int
@@ -100,6 +100,9 @@ class GospfNode:
         self.mcst: SpanningTree = self.hooks.spanning_tree(topology, frozenset())
         self.active_view: set[int] = set(topology.links)
         self._local_links: tuple[int, ...] = topology.incident(node_id)
+        # (link, peer) for every local link, in flood order.
+        self._ports: tuple[tuple[int, int], ...] = tuple(
+            (lid, topology.links[lid].other(node_id)) for lid in self._local_links)
         self.iface_state: dict[int, OperationalState] = {}
         self.iface_role: dict[int, InterfaceRole] = {}
         for lid in self._local_links:
@@ -114,7 +117,7 @@ class GospfNode:
         self.reset_until: float | None = None
         self.pending_failures: list[int] = []
         self._seq = 0
-        self._hops = bfs_hop_counts(topology, node_id)
+        self._set_hops()
         self._routing: RoutingTable | None = None
         # The current and the previous (view, table) pair: the midday
         # cut/graft oscillation flips between two views.
@@ -129,9 +132,16 @@ class GospfNode:
         self.seen.add(msg.key())
         return msg
 
+    def _set_hops(self) -> None:
+        """Hop counts over the surviving links, and from them the cut-matrix
+        row of every link: hops to its nearer endpoint (inf if neither is
+        reachable)."""
+        hops = bfs_hop_counts(self.topology, self.node_id, frozenset(self.failed))
+        self._row_of = {lid: min(hops.get(link.a, math.inf), hops.get(link.b, math.inf))
+                        for lid, link in self.topology.links.items()}
+
     def _hop_row(self, link_id: int) -> int:
-        link = self.topology.links[link_id]
-        return min(self._hops.get(link.a, math.inf), self._hops.get(link.b, math.inf))
+        return self._row_of[link_id]
 
     def _invalidate_routing(self) -> None:
         self._routing = None
@@ -158,15 +168,9 @@ class GospfNode:
 
     def flood(self, message: ControlMessage, arrival_link: int | None = None):
         """Copies of `message` for every awake interface except the arrival one."""
-        out = []
-        for lid in self._local_links:
-            if lid == arrival_link or lid in self.failed:
-                continue
-            if self.iface_state[lid] is OperationalState.SLEEP:
-                continue
-            peer = self.topology.links[lid].other(self.node_id)
-            out.append(Transmission(lid, self.node_id, peer, message))
-        return out
+        failed, state, sleep = self.failed, self.iface_state, OperationalState.SLEEP
+        return [Transmission(lid, self.node_id, peer, message) for lid, peer in self._ports
+                if lid != arrival_link and lid not in failed and state[lid] is not sleep]
 
     def _sleep_interface(self, now: float, link_id: int) -> None:
         if self.iface_state.get(link_id) in (OperationalState.IDLE, OperationalState.ACTIVE):
@@ -286,9 +290,10 @@ class GospfNode:
     def handle_message(self, now: float, msg: ControlMessage,
                        arrival_link: int | None = None):
         """Apply a received message and re-flood it. Duplicates are dropped."""
-        if msg.key() in self.seen:
+        key = msg.key()
+        if key in self.seen:
             return []
-        self.seen.add(msg.key())
+        self.seen.add(key)
         if any(lid not in self.topology.links for lid in msg.links):
             log.warning("node %d: dropping %s naming unknown link(s) %s",
                         self.node_id, msg.kind.value, msg.links)
@@ -328,7 +333,7 @@ class GospfNode:
         for row in self.matrix.values():
             row.discard(link_id)
         self.safeguard.pop(link_id, None)
-        self._hops = bfs_hop_counts(self.topology, self.node_id, frozenset(self.failed))
+        self._set_hops()
         self._invalidate_routing()
 
     def _start_reset(self, now: float, failed_link: int):
@@ -357,7 +362,7 @@ class GospfNode:
         self.active_view = set(self.topology.links) - self.failed
         until = now + self.mcst_reset_timer
         self.reset_until = until if self.reset_until is None else max(self.reset_until, until)
-        self._hops = bfs_hop_counts(self.topology, self.node_id, frozenset(self.failed))
+        self._set_hops()
         self._invalidate_routing()
 
     def complete_reset_if_due(self, now: float) -> None:

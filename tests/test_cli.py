@@ -52,6 +52,23 @@ def test_run_writes_outputs(small_files, tmp_path):
     assert header == "t,active_links,power_w,throughput_bps,energy_j,ctrl_bytes,dropped_bits"
 
 
+def test_links_csv_has_one_row_per_link(small_files, tmp_path):
+    topo, traffic, config = small_files
+    out = tmp_path / "out"
+    assert run_cli("run", "--topology", topo, "--traffic", traffic,
+                   "--config", config, "--out", out) == 0
+    lines = (out / "links.csv").read_text().splitlines()
+    assert lines[0] == "link,a,b,flood_copies,wakeups_a,wakeups_b,sleep_s_a,sleep_s_b"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:3] for row in rows] == [["1", "1", "2"], ["2", "2", "3"],
+                                         ["3", "3", "4"], ["4", "4", "1"]]
+    # Every copy in the per-window control bytes is counted on some link.
+    ctrl = [int(line.split(",")[5])
+            for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+    assert sum(int(row[3]) for row in rows) * 64 == sum(ctrl) > 0
+    assert "event=FLOOD" not in (out / "events.log").read_text()
+
+
 def test_run_missing_topology_is_diagnosed(tmp_path, capsys):
     code = run_cli("run", "--topology", tmp_path / "absent.topo",
                    "--traffic", tmp_path / "absent.traffic", "--out", tmp_path)
@@ -267,7 +284,7 @@ def test_run_outputs_deterministic(small_files, tmp_path):
     for name in ("x", "y"):
         assert run_cli("run", "--topology", topo, "--traffic", traffic,
                        "--config", config, "--out", tmp_path / name) == 0
-    for fname in ("metrics.csv", "events.log", "summary.txt"):
+    for fname in ("metrics.csv", "events.log", "summary.txt", "links.csv"):
         assert (tmp_path / "x" / fname).read_bytes() == \
             (tmp_path / "y" / fname).read_bytes()
 

@@ -311,19 +311,38 @@ def output_digest(result):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def counted_digest(result):
+    """The metrics csv, the summary, the event lines and the sorted per-link
+    flood copy counts. Recorded when every copy was still an event line,
+    with the counts parsed from those lines."""
+    floods = ",".join(f"{lid}:{n}" for lid, n in sorted(result.flood_copies.items()))
+    blob = (result.metrics.csv_text() + result.metrics.summary_text()
+            + "\n".join(result.events) + "\n" + floods)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def event_kinds(result):
     return {line.split()[2] for line in result.events}
 
 
-# Digests of the outputs before per-window results were reused; any change
-# in a metric row, an event line or the summary moves them.
 def test_golden_gospf_cuts_and_grafts():
     result = run(cut_graft_scenario())
     assert {"event=CUT", "event=GRAFT", "event=WAKE"} <= event_kinds(result)
-    assert output_digest(result) == \
-        "ffbc17dbcff3ee818bcfaaede3a33598a66c0be0f458d51af4942d5f98ac642f"
+    assert counted_digest(result) == \
+        "c0c4132745eca01b1e26b33e1cd01acc1ff23df7c2e69858d76ccfb6b870ca49"
 
 
+# With no latency every copy of a tick arrives at the same time, so the heap
+# interleaves hop rounds by (origin, seq, receiver); the copy count differs
+# from the run above.
+def test_golden_gospf_cuts_and_grafts_at_zero_latency():
+    result = run(cut_graft_scenario(control_latency=0.0))
+    assert sum(result.flood_copies.values()) == 246
+    assert counted_digest(result) == \
+        "ede40eb6d005c463275b3a135e552ff2b402e6e04d12616a271534e1a9e7a58c"
+
+
+# Digest of the outputs before per-window results were reused.
 def test_golden_baseline_with_failure():
     result = run(baseline_failure_scenario())
     assert output_digest(result) == \
@@ -333,8 +352,8 @@ def test_golden_baseline_with_failure():
 def test_golden_tree_failure_and_reset(garr48):
     result = run(tree_failure_scenario(garr48))
     assert "event=RESET" in event_kinds(result)
-    assert output_digest(result) == \
-        "5742d1dce3f8f2be83f98ea3c2de9bcf43a0690cbeed317d43034923a524ed12"
+    assert counted_digest(result) == \
+        "cc7bc322992869981a3a0a955415c8839bb9c6b8ed591369c0d97716a92f0d11"
 
 
 @pytest.mark.parametrize("state", list(OperationalState))
@@ -402,13 +421,49 @@ def safeguard_expiry_scenario():
     return scenario(topo, TrafficMatrix([flow], 6.0), horizon=6.0)
 
 
-# Digest recorded before steady windows were replayed.
 def test_golden_cut_after_safeguard_expiry():
     result = run(safeguard_expiry_scenario())
     cuts = [line for line in result.events if "event=CUT link=3" in line]
     assert [line.split()[0] for line in cuts] == ["t=0.200000"] * 2 + ["t=3.400000"] * 2
-    assert output_digest(result) == \
-        "ccbee4760443fb9e2fbf2b37bebe716c1b14c4bcd5ca8086910dc82843d91a09"
+    assert counted_digest(result) == \
+        "e12d497d28428ed11a3909f7cdd5b6412196650744a0d5773e25bd0e616e4358"
+
+
+GOLDEN_SCENARIOS = {
+    "cut_graft": lambda garr48: cut_graft_scenario(),
+    "zero_latency": lambda garr48: cut_graft_scenario(control_latency=0.0),
+    "tree_failure": tree_failure_scenario,
+    "safeguard_expiry": lambda garr48: safeguard_expiry_scenario(),
+}
+
+
+@pytest.mark.parametrize("make", GOLDEN_SCENARIOS.values(), ids=GOLDEN_SCENARIOS.keys())
+def test_flood_copies_account_for_every_control_byte(garr48, make):
+    sc = make(garr48)
+    result = run(sc)
+    assert result.flood_copies and min(result.flood_copies.values()) > 0
+    assert sum(result.flood_copies.values()) * sc.config.control_msg_bytes == \
+        result.metrics.ctrl_bytes_total
+
+
+@pytest.mark.parametrize("make", GOLDEN_SCENARIOS.values(), ids=GOLDEN_SCENARIOS.keys())
+def test_every_copy_is_delivered_through_handle_message(garr48, make, monkeypatch):
+    # The engine must look handle_message up on the class for each copy, so
+    # that a wrapper installed there sees every delivery.
+    calls = []
+    original = GospfNode.handle_message
+
+    def handle_message(node, now, msg, arrival_link=None):
+        calls.append(msg.key())
+        return original(node, now, msg, arrival_link=arrival_link)
+
+    monkeypatch.setattr(GospfNode, "handle_message", handle_message)
+    result = run(make(garr48))
+    assert len(calls) == sum(result.flood_copies.values())
+
+
+def test_baseline_sends_no_copies():
+    assert run(baseline_failure_scenario()).flood_copies == {}
 
 
 def test_steady_windows_run_no_protocol_tick(garr48, monkeypatch):
