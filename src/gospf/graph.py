@@ -118,11 +118,6 @@ class _UnionFind:
     def __init__(self, items):
         self.parent = {x: x for x in items}
 
-    def copy(self) -> "_UnionFind":
-        uf = _UnionFind(())
-        uf.parent = dict(self.parent)
-        return uf
-
     def find(self, x):
         root = x
         while self.parent[root] != root:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import MODE_GOSPF, Scenario, run
-from .graph import Topology, _UnionFind
+from .graph import Topology
 
 
 class OracleError(ValueError):
@@ -223,9 +223,9 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
     """Global optimum over link subsets under the single-path restriction.
 
     Branch and bound over links in ascending id order: subtrees are pruned
-    when the committed power plus a routing lower bound cannot beat the
-    incumbent, or when the undecided links can no longer connect some demand
-    pair.
+    when the committed power plus a routing lower bound over the links still
+    available cannot beat the incumbent, or when those links can no longer
+    connect some demand pair.
 
     The search runs in integers. Costs are scaled by their common
     denominator, objective terms (power, volume * cost) by one scale K, and
@@ -267,14 +267,26 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
                              _scaled(volume, capacity_scale))
                for (i, d), volume in zip(nonzero, volumes)]
 
-    # Routing lower bound: every demand pays at least its full-graph min cost.
+    def routing_bound(available: frozenset[int]) -> tuple[int, set[int]] | None:
+        """Routing lower bound over `available`, each demand at its
+        uncapacitated minimum cost, and the links of the paths that reach
+        it; None if some demand has no path."""
+        bound, path_links = 0, set()
+        for d in demands:
+            found = _lex_shortest_path(topology, available, costs, d.src, d.dst)
+            if found is None:
+                return None
+            cost, path = found
+            bound += d.weight * cost
+            path_links.update(map(topology.link_between, path, path[1:]))
+        return bound, path_links
+
     full = frozenset(link_ids)
-    routing_lb = 0
-    for d in demands:
-        found = _lex_shortest_path(topology, full, costs, d.src, d.dst)
-        if found is None:
-            raise Infeasible(f"no path for demand {d.src}->{d.dst} even with all links")
-        routing_lb += d.weight * found[0]
+    root = routing_bound(full)
+    if root is None:
+        d = next(d for d in demands
+                 if _lex_shortest_path(topology, full, costs, d.src, d.dst) is None)
+        raise Infeasible(f"no path for demand {d.src}->{d.dst} even with all links")
 
     best: dict = {"objective": None, "solution": None}
 
@@ -288,32 +300,17 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
             best["objective"] = objective
             best["solution"] = (active, paths, power, routing)
 
-    # One union-find per depth i over the links still undecided there,
-    # link_ids[i + 1:]; a check copies it and adds the included links.
-    undecided = []
-    uf = _UnionFind(topology.nodes)
-    for lid in reversed(link_ids):
-        undecided.append(uf.copy())
-        link = topology.links[lid]
-        uf.union(link.a, link.b)
-    undecided.reverse()
-
-    def endpoints_connectable(i: int, included: list[int]) -> bool:
-        uf = undecided[i].copy()
-        for lid in included:
-            link = topology.links[lid]
-            uf.union(link.a, link.b)
-        return all(uf.find(d.src) == uf.find(d.dst) for d in demands)
-
     # Seed the incumbent with the full link set before branching.
     consider(full, sum(powers.values()))
 
-    # Every node reached has its endpoints connectable over included plus
-    # undecided links: the root because every demand routes over all links,
-    # an include child because that union is its parent's, and an exclude
-    # child because it is checked before the step.
-    def branch(i: int, included: list[int], power: int):
-        if best["objective"] is not None and power + routing_lb >= best["objective"]:
+    # A node at depth i bounds routing over the links still available there,
+    # included plus link_ids[i:]. The include child has the same available
+    # set, and so the same bound. The exclude child loses one link: if no
+    # bound path uses it, the paths survive and the bound stays; otherwise
+    # it is recomputed, and the child is skipped when a demand loses its
+    # last path.
+    def branch(i: int, included: list[int], power: int, bound: int, path_links: set[int]):
+        if best["objective"] is not None and power + bound >= best["objective"]:
             return
         if i == len(link_ids):
             active = frozenset(included)
@@ -321,13 +318,16 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
                 consider(active, power)
             return
         lid = link_ids[i]
-        if endpoints_connectable(i, included):
-            branch(i + 1, included, power)  # exclude first: cheaper subsets early
+        # Exclude first: cheaper subsets early.
+        if lid not in path_links:
+            branch(i + 1, included, power, bound, path_links)
+        elif (child := routing_bound(frozenset(link_ids[i + 1:]).union(included))):
+            branch(i + 1, included, power, *child)
         included.append(lid)
-        branch(i + 1, included, power + powers[lid])
+        branch(i + 1, included, power + powers[lid], bound, path_links)
         included.pop()
 
-    branch(0, [], 0)
+    branch(0, [], 0, *root)
     if best["solution"] is None:
         raise Infeasible("no link subset supports the demands")
     active, paths, power, routing = best["solution"]

@@ -494,9 +494,29 @@ def exact_cases(draw):
     return CmndInstance(topo, tuple(demands), alpha)
 
 
+def detour_instance():
+    # Excluding link 1 takes both demands off their bound paths, (1, 2, 3)
+    # and (2, 1, 4), onto equal-cost detours, (1, 4, 3) and (2, 3, 4): the
+    # recomputed bound is the same, and exclude-first order picks the tie.
+    topo = make_topology([(1, 2), (2, 3), (1, 4), (4, 3), (2, 4)],
+                         [155e6, 155e6, 155e6, 155e6, 34e6])
+    demands = (Demand(1, 3, Fraction(50e6 + 0.5)), Demand(2, 4, Fraction(10e6 + 0.75)))
+    return CmndInstance(topo, demands, Fraction(0.8))
+
+
+def bridge_instance():
+    # A square: once links 1 and 2 are out, link 3 is a bridge on the one
+    # path left, so excluding it leaves demand 1->3 without a path and the
+    # exclude child is skipped.
+    topo = make_topology([(1, 2), (2, 3), (3, 4), (4, 1)], [155e6, 34e6, 622e6, 3e7])
+    return CmndInstance(topo, (Demand(1, 3, Fraction(8e6 + 0.25)),), Fraction(1, 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(exact_cases())
 @example(tie_instance())
+@example(detour_instance())
+@example(bridge_instance())
 def test_integer_solver_equals_the_rational_solver(instance):
     assert_same_solution(instance)
 
@@ -612,6 +632,33 @@ def test_gap_csv_golden(seed, capacities, alpha, digest):
     # Recorded with the rational solver, before rows were memoised by state.
     text = gap_csv(heuristic_gap(gap_scenario(seed, capacities, alpha)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_bound_prunes_no_fewer_leaves_than_the_constant_bound(monkeypatch):
+    # Leaf evaluations per gap scenario when every node was bounded by each
+    # demand's minimum cost over all links. A bound over the links still
+    # available is at least that large and the search order is the same, so
+    # the search can only visit a subset of those leaves.
+    constant_bound_leaves = {
+        (5, (1e7, 2e7, 5e7), 0.8): 6,
+        (6, (34e6, 155e6, 622e6, 3e7), 0.8): 48,
+        (1, (34e6, 155e6, 2.5e9, 3e7), 0.5): 1143,
+    }
+    calls = [0]
+    original = gospf.oracle._route_demands
+
+    def route_counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(gospf.oracle, "_route_demands", route_counted)
+    leaves = {}
+    for case in constant_bound_leaves:
+        calls[0] = 0
+        heuristic_gap(gap_scenario(*case))
+        leaves[case] = calls[0]
+    assert all(leaves[case] <= n for case, n in constant_bound_leaves.items())
+    assert any(leaves[case] < n for case, n in constant_bound_leaves.items())
 
 
 def test_gap_solves_each_demand_set_and_checks_each_flow_set_once(monkeypatch):
