@@ -42,7 +42,7 @@ class UtilizationClass(Enum):
     UNDERUTILIZED = "underutilized"
 
 
-@dataclass
+@dataclass(slots=True)
 class EnergyAccount:
     """Accumulated state time and energy for one interface.
 
@@ -95,8 +95,8 @@ class ChargePlan:
     `awake` holds (account, t_busy, p_active*t_busy, t_idle, p_idle*t_idle)
     and `asleep` holds (account, window, p_sleep*window). Applying the plan
     makes the same additions, in the same order, as the equivalent `accrue`
-    calls; the two energy additions stay separate because one pre-summed
-    addition rounds differently.
+    calls: `energy_j + e_busy + e_idle` adds left to right, whereas one
+    pre-summed `e_busy + e_idle` would round differently.
     """
 
     awake: list[tuple[EnergyAccount, float, float, float, float]]
@@ -105,9 +105,8 @@ class ChargePlan:
     def apply(self) -> None:
         for acct, t_busy, e_busy, t_idle, e_idle in self.awake:
             acct.t_active += t_busy
-            acct.energy_j += e_busy
             acct.t_idle += t_idle
-            acct.energy_j += e_idle
+            acct.energy_j = acct.energy_j + e_busy + e_idle
         for acct, window, e_sleep in self.asleep:
             acct.t_sleep += window
             acct.energy_j += e_sleep
@@ -152,4 +151,4 @@ def validate_thresholds(gamma_u: float, gamma_l: float) -> None:
 
 def total_network_energy(accounts) -> float:
     """Sum of accumulated energy over all interface accounts."""
-    return sum(acct.energy_j for acct in accounts)
+    return sum([acct.energy_j for acct in accounts])

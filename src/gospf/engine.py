@@ -321,11 +321,17 @@ class GospfController(ProtocolHooks):
                 push(queue, (t1 + latency, msg.origin, msg.seq, receiver, counter, lid, msg))
                 counter += 1
                 copies[lid] = copies.get(lid, 0) + 1
+        # Looked up on the class once per tick, so that a wrapper installed
+        # there before the run sees every copy.
+        handle = GospfNode.handle_message
         while queue:
             arrival, _origin, _seq, receiver, _counter, link, msg = pop(queue)
-            for lid, _sender, peer, out in nodes[receiver].handle_message(
-                    arrival, msg, arrival_link=link):
-                push(queue, (arrival + latency, out.origin, out.seq, peer, counter, lid, out))
+            sent = handle(nodes[receiver], arrival, msg, link)
+            if not sent:
+                continue
+            forwarded = arrival + latency
+            for lid, _sender, peer, out in sent:
+                push(queue, (forwarded, out.origin, out.seq, peer, counter, lid, out))
                 counter += 1
                 copies[lid] = copies.get(lid, 0) + 1
         if counter:
@@ -403,9 +409,10 @@ class _Run:
 
     def run(self) -> RunResult:
         """Step every window. Per-window results whose inputs did not change
-        since the previous window (allocation, link samples, busy times,
-        connectivity verdicts) are reused, not recomputed; the float
-        operations that reach the outputs run in the same order either way.
+        since the previous window (demands, allocation, link samples, busy
+        times, charge plans, connectivity verdicts) are reused, not
+        recomputed; the float operations that reach the outputs run in the
+        same order either way.
 
         A window that repeats a steady one is replayed: the previous window
         recorded no events, applied no failure and had no control bits in or
@@ -433,6 +440,8 @@ class _Run:
         alloc = None
         prev_link_bits = None
         prev_rates = None
+        demands = traffic.window_demands(n_windows, ts, cfg.tcp_burst_frac)
+        plan_busy = plan_usable = None
         steady = False
         samples: dict[int, float] = {}  # per-link utilization
         busy: list[float] = []
@@ -458,7 +467,7 @@ class _Run:
             if failed_this_window:
                 surviving_connected = is_connected(self.topology, all_links - self.failed)
             ctrl_bits = ctrl.start_window(w, t0)
-            rates = traffic.demand_at(t0, ts, cfg.tcp_burst_frac)
+            rates = next(demands)
 
             if (steady and not failed_this_window and not ctrl_bits
                     and rates == prev_rates and t1 < ctrl.next_action_time()):
@@ -494,10 +503,14 @@ class _Run:
                     prev_link_bits = link_bits
 
                 # Energy for this window under the states in force during it.
-                plan = plan_window(
-                    ((acct, t_busy)
-                     for (_lid, _cap, acct_a, acct_b), t_busy in zip(self.link_accounts, busy)
-                     for acct in (acct_a, acct_b)), ts)
+                # Every sleep, wake or failure clears self.active, so the
+                # same usable set means the same interface states.
+                if busy is not plan_busy or usable is not plan_usable:
+                    plan = plan_window(
+                        ((acct, t_busy)
+                         for (_lid, _cap, acct_a, acct_b), t_busy in zip(self.link_accounts, busy)
+                         for acct in (acct_a, acct_b)), ts)
+                    plan_busy, plan_usable = busy, usable
                 plan.apply()
 
                 # Protocol checks at the window end, floods drained.

@@ -145,19 +145,14 @@ class _ScaledDemand:
 
 
 def _route_demands(topology: Topology, active: frozenset[int], costs, limits,
-                   demands) -> tuple[int, dict[int, tuple[int, ...]]] | None:
+                   demands, shortest) -> tuple[int, dict[int, tuple[int, ...]]] | None:
     """Best single-path routing of `demands` over `active`, or None.
 
-    Independent shortest paths are tried first; on a capacity conflict the
-    joint assignment is searched exhaustively with cost-bound pruning.
+    `shortest` holds each demand's (cost, path) from `_lex_shortest_path`
+    over `active`. These independent shortest paths are tried first; on a
+    capacity conflict the joint assignment is searched exhaustively with
+    cost-bound pruning.
     """
-    shortest: list[tuple[int, tuple[int, ...]]] = []
-    for d in demands:
-        found = _lex_shortest_path(topology, active, costs, d.src, d.dst)
-        if found is None:
-            return None
-        shortest.append(found)
-
     greedy = [(d.load, path) for d, (_c, path) in zip(demands, shortest)]
     if _check_capacity(topology, greedy, limits):
         routing = sum(d.weight * cost for d, (cost, _p) in zip(demands, shortest))
@@ -267,11 +262,11 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
                              _scaled(volume, capacity_scale))
                for (i, d), volume in zip(nonzero, volumes)]
 
-    def routing_bound(available: frozenset[int]) -> tuple[int, set[int]] | None:
+    def routing_bound(available: frozenset[int]) -> tuple[int, set[int], list] | None:
         """Routing lower bound over `available`, each demand at its
-        uncapacitated minimum cost, and the links of the paths that reach
-        it; None if some demand has no path."""
-        bound, path_links = 0, set()
+        uncapacitated minimum cost, the links of the paths that reach it,
+        and each demand's (cost, path); None if some demand has no path."""
+        bound, path_links, shortest = 0, set(), []
         for d in demands:
             found = _lex_shortest_path(topology, available, costs, d.src, d.dst)
             if found is None:
@@ -279,7 +274,8 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
             cost, path = found
             bound += d.weight * cost
             path_links.update(map(topology.link_between, path, path[1:]))
-        return bound, path_links
+            shortest.append(found)
+        return bound, path_links, shortest
 
     full = frozenset(link_ids)
     root = routing_bound(full)
@@ -290,8 +286,8 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
 
     best: dict = {"objective": None, "solution": None}
 
-    def consider(active: frozenset[int], power: int):
-        routed = _route_demands(topology, active, costs, limits, demands)
+    def consider(active: frozenset[int], power: int, shortest):
+        routed = _route_demands(topology, active, costs, limits, demands, shortest)
         if routed is None:
             return
         routing, paths = routed
@@ -301,30 +297,33 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
             best["solution"] = (active, paths, power, routing)
 
     # Seed the incumbent with the full link set before branching.
-    consider(full, sum(powers.values()))
+    consider(full, sum(powers.values()), root[2])
 
     # A node at depth i bounds routing over the links still available there,
     # included plus link_ids[i:]. The include child has the same available
     # set, and so the same bound. The exclude child loses one link: if no
     # bound path uses it, the paths survive and the bound stays; otherwise
     # it is recomputed, and the child is skipped when a demand loses its
-    # last path.
-    def branch(i: int, included: list[int], power: int, bound: int, path_links: set[int]):
+    # last path. At a leaf the available links are the active ones, and the
+    # bound's paths, lexicographic minima over a superset that all survive
+    # in it, are its lexicographic shortest paths too.
+    def branch(i: int, included: list[int], power: int, bound: int, path_links: set[int],
+               shortest):
         if best["objective"] is not None and power + bound >= best["objective"]:
             return
         if i == len(link_ids):
             active = frozenset(included)
             if active != full:
-                consider(active, power)
+                consider(active, power, shortest)
             return
         lid = link_ids[i]
         # Exclude first: cheaper subsets early.
         if lid not in path_links:
-            branch(i + 1, included, power, bound, path_links)
+            branch(i + 1, included, power, bound, path_links, shortest)
         elif (child := routing_bound(frozenset(link_ids[i + 1:]).union(included))):
             branch(i + 1, included, power, *child)
         included.append(lid)
-        branch(i + 1, included, power + powers[lid], bound, path_links)
+        branch(i + 1, included, power + powers[lid], bound, path_links, shortest)
         included.pop()
 
     branch(0, [], 0, *root)

@@ -103,6 +103,9 @@ class GospfNode:
         # (link, peer) for every local link, in flood order.
         self._ports: tuple[tuple[int, int], ...] = tuple(
             (lid, topology.links[lid].other(node_id)) for lid in self._local_links)
+        # The ports whose link is neither failed nor asleep, in flood order.
+        # Every change to `failed` or `iface_state` resets it to None.
+        self._awake_ports: tuple[tuple[int, int], ...] | None = None
         self.iface_state: dict[int, OperationalState] = {}
         self.iface_role: dict[int, InterfaceRole] = {}
         for lid in self._local_links:
@@ -166,15 +169,26 @@ class GospfNode:
         return min((s - _EPS for s in self.safeguard.values() if s - _EPS > now),
                    default=math.inf)
 
+    def awake_ports(self) -> tuple[tuple[int, int], ...]:
+        """(link, peer) for every local link neither failed nor asleep."""
+        ports = self._awake_ports
+        if ports is None:
+            failed, state, sleep = self.failed, self.iface_state, OperationalState.SLEEP
+            ports = self._awake_ports = tuple(
+                (lid, peer) for lid, peer in self._ports
+                if lid not in failed and state[lid] is not sleep)
+        return ports
+
     def flood(self, message: ControlMessage, arrival_link: int | None = None):
         """Copies of `message` for every awake interface except the arrival one."""
-        failed, state, sleep = self.failed, self.iface_state, OperationalState.SLEEP
-        return [Transmission(lid, self.node_id, peer, message) for lid, peer in self._ports
-                if lid != arrival_link and lid not in failed and state[lid] is not sleep]
+        node_id = self.node_id
+        return [Transmission(lid, node_id, peer, message)
+                for lid, peer in self.awake_ports() if lid != arrival_link]
 
     def _sleep_interface(self, now: float, link_id: int) -> None:
         if self.iface_state.get(link_id) in (OperationalState.IDLE, OperationalState.ACTIVE):
             self.iface_state[link_id] = OperationalState.SLEEP
+            self._awake_ports = None
             self.iface_role[link_id] = InterfaceRole.MCST_CUT
             self.hooks.interface_slept(now, self.node_id, link_id)
             self.hooks.record_event(now, self.node_id, "SLEEP", link_id, -1)
@@ -182,6 +196,7 @@ class GospfNode:
     def _wake_interface(self, now: float, link_id: int, role: InterfaceRole) -> None:
         if self.iface_state.get(link_id) is OperationalState.SLEEP:
             self.iface_state[link_id] = OperationalState.IDLE
+            self._awake_ports = None
             self.iface_role[link_id] = role
             self.hooks.interface_woke(now, self.node_id, link_id)
             self.hooks.record_event(now, self.node_id, "WAKE", link_id, -1)
@@ -206,10 +221,8 @@ class GospfNode:
             return out
 
         classes: dict[int, UtilizationClass] = {}
-        for lid in self._local_links:
-            if lid in self.failed or lid not in samples:
-                continue
-            if self.iface_state[lid] is OperationalState.SLEEP:
+        for lid, _peer in self.awake_ports():
+            if lid not in samples:
                 continue
             classes[lid] = classify(samples[lid], self.gamma_u, self.gamma_l)
             if (self.iface_role[lid] is InterfaceRole.MCST_GRAFT
@@ -242,7 +255,11 @@ class GospfNode:
     def _mark_cut(self, link_id: int) -> None:
         self.active_view.discard(link_id)
         row = self._hop_row(link_id)
-        self.matrix.setdefault(row, set()).add(link_id)
+        cut = self.matrix.get(row)
+        if cut is None:
+            self.matrix[row] = {link_id}
+        else:
+            cut.add(link_id)
         self._invalidate_routing()
 
     def _graft_step(self, now: float, congested_link: int):
@@ -269,12 +286,11 @@ class GospfNode:
         return self.flood(msg)
 
     def _apply_graft(self, now: float, links: tuple[int, ...], expiry: float) -> None:
-        for lid in links:
-            if lid in self.failed:
-                continue
+        live = [lid for lid in links if lid not in self.failed]
+        for row in self.matrix.values():
+            row.difference_update(live)
+        for lid in live:
             self.active_view.add(lid)
-            for row in self.matrix.values():
-                row.discard(lid)
             # Safeguard recorded at every node, not only endpoints: an LSCUP
             # naming a safeguarded link is stale (cut lost the race to this
             # graft) and must be ignored identically everywhere. The carried
@@ -290,27 +306,32 @@ class GospfNode:
     def handle_message(self, now: float, msg: ControlMessage,
                        arrival_link: int | None = None):
         """Apply a received message and re-flood it. Duplicates are dropped."""
-        key = msg.key()
-        if key in self.seen:
+        key = (msg.origin, msg.seq)  # msg.key(), without the call
+        seen = self.seen
+        if key in seen:
             return []
-        self.seen.add(key)
-        if any(lid not in self.topology.links for lid in msg.links):
-            log.warning("node %d: dropping %s naming unknown link(s) %s",
-                        self.node_id, msg.kind.value, msg.links)
-            return []
-        if msg.kind is MessageKind.LSCUP:
-            lid = msg.links[0]
+        seen.add(key)
+        links = msg.links
+        known = self.topology.links
+        for lid in links:
+            if lid not in known:
+                log.warning("node %d: dropping %s naming unknown link(s) %s",
+                            self.node_id, msg.kind.value, links)
+                return []
+        kind = msg.kind
+        if kind is MessageKind.LSCUP:
+            lid = links[0]
             if self.safeguard.get(lid, -math.inf) - _EPS > now:
                 pass  # stale cut superseded by a graft; forward but ignore
             else:
                 self._sleep_interface(now, lid)
                 self._mark_cut(lid)
-        elif msg.kind is MessageKind.LSGUP:
-            self._apply_graft(now, msg.links, msg.expiry)
-        elif msg.kind is MessageKind.LSA:
-            self._apply_failure(now, msg.links[0])
-        elif msg.kind is MessageKind.RESET:
-            self._apply_reset(now, msg.links[0])
+        elif kind is MessageKind.LSGUP:
+            self._apply_graft(now, links, msg.expiry)
+        elif kind is MessageKind.LSA:
+            self._apply_failure(now, links[0])
+        elif kind is MessageKind.RESET:
+            self._apply_reset(now, links[0])
         return self.flood(msg, arrival_link)
 
     # --------------------------------------------------------------- failure
@@ -327,6 +348,7 @@ class GospfNode:
 
     def _apply_failure(self, now: float, link_id: int) -> None:
         self.failed.add(link_id)
+        self._awake_ports = None
         self.active_view.discard(link_id)
         if link_id in self.iface_state:
             self._sleep_interface(now, link_id)
@@ -346,6 +368,7 @@ class GospfNode:
         """Wake everything except the failed link, forget cut/safeguard state,
         and schedule the tree recomputation."""
         self.failed.add(failed_link)
+        self._awake_ports = None
         for lid in self._local_links:
             if lid in self.failed:
                 if lid == failed_link:

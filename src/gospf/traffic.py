@@ -84,6 +84,35 @@ class TrafficMatrix:
         return {fid: flow.rate_at(t) + flow.burst_at(t, window, burst_frac)
                 for fid, flow in sorted(self.flows.items())}
 
+    def change_times(self, window: float) -> list[float]:
+        """Sorted times at which `demand_at(t, window, ...)` can change:
+        each breakpoint, each TCP burst end `t_break + window` (the sum
+        `burst_at` compares against), and the first float past the horizon,
+        where `demand_at` starts to raise."""
+        times = {math.nextafter(self.horizon, math.inf)}
+        for flow in self.flows.values():
+            for t_break, _rate in flow.schedule:
+                times.add(t_break)
+                if flow.kind == "tcp":
+                    times.add(t_break + window)
+        return sorted(times)
+
+    def window_demands(self, n_windows: int, window: float, burst_frac: float):
+        """`demand_at(w * window, window, burst_frac)` for windows 0 to
+        n_windows - 1. `demand_at` runs in window 0 and in each window whose
+        start reaches the next change time (`t <= t0`, as `bisect_right`
+        compares); every other window gets the previous dict again."""
+        times = self.change_times(window) + [math.inf]
+        i = 0
+        rates = None
+        for w in range(n_windows):
+            t0 = w * window
+            if rates is None or times[i] <= t0:
+                while times[i] <= t0:
+                    i += 1
+                rates = self.demand_at(t0, window, burst_frac)
+            yield rates
+
 
 @dataclass
 class AllocationResult:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gospf.energy import OperationalState
 from gospf.graph import Link, Topology, bundled_topology_text, parse_topology
 
 
@@ -43,3 +44,11 @@ def random_connected_topology(rng: random.Random, n_nodes: int, extra: int,
     edges.extend(candidates[:extra])
     caps = [rng.choice(cap_choices) for _ in edges]
     return make_topology(edges, caps)
+
+
+def fresh_awake_ports(node):
+    """A GospfNode's (link, peer) ports that are neither failed nor asleep,
+    recomputed from its state."""
+    return tuple((lid, peer) for lid, peer in node._ports
+                 if lid not in node.failed
+                 and node.iface_state[lid] is not OperationalState.SLEEP)

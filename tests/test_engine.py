@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import random
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gospf.engine
 import gospf.protocol
 from gospf.config import ConfigError, ScenarioConfig, parse_config
 from gospf.energy import (EnergyAccount, NegativeDuration, OperationalState,
@@ -16,7 +18,7 @@ from gospf.graph import compute_mcst
 from gospf.protocol import GospfNode
 from gospf.traffic import Flow, TrafficMatrix, generate_traffic
 
-from conftest import make_topology, random_connected_topology
+from conftest import fresh_awake_ports, make_topology, random_connected_topology
 
 DEFAULT_POWERS = dict(p_active=1.0, p_idle=0.8, p_sleep=0.016)
 
@@ -500,6 +502,41 @@ def test_one_spanning_tree_per_failed_link_set(garr48, monkeypatch):
     assert calls == [frozenset(), frozenset({lid for _t, lid in sc.link_failures})]
 
 
+# ------------------------------------------------------------- work counts
+
+def test_daily_pair_skips_unchanged_work(garr48, monkeypatch):
+    # Of the garr48 day's 7,200 windows, only the 96 that reach a breakpoint
+    # evaluate demands, and a full window builds a charge plan only when its
+    # busy times or interface states changed. Every protocol tick and every
+    # copy delivery still runs.
+    counts = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(TrafficMatrix, "demand_at")
+    count(gospf.engine, "plan_window")
+    count(GospfNode, "sample_tick")
+    count(GospfNode, "handle_message")
+    matrix = generate_traffic(garr48, "daily", 17, 0.4, ScenarioConfig().horizon)
+    per_mode = {}
+    for mode in ("gospf", "baseline"):
+        counts.clear()
+        run(scenario(garr48, matrix, mode=mode))
+        per_mode[mode] = dict(counts)
+    assert per_mode == {
+        "gospf": {"demand_at": 96, "plan_window": 549, "sample_tick": 34_176,
+                  "handle_message": 132_567},
+        "baseline": {"demand_at": 96, "plan_window": 60},
+    }
+
+
 # --------------------------------------------------------- converged views
 
 def node_view(node):
@@ -511,7 +548,8 @@ def node_view(node):
 @contextlib.contextmanager
 def converged_view_check():
     """Within the block, every GospfController tick must end with all nodes
-    holding the same active view, safeguards, failed links and cut set.
+    holding the same active view, safeguards, failed links and cut set, and
+    every node's cached awake ports, when set, matching its state.
     Yields the list of tick times checked."""
     ticks = []
     original = GospfController.tick
@@ -520,6 +558,9 @@ def converged_view_check():
         ctrl_bytes = original(ctrl, t1, samples)
         views = {node_view(node) for node in ctrl.nodes.values()}
         assert len(views) == 1, f"node views differ after the tick at t={t1}"
+        for node in ctrl.nodes.values():
+            assert node._awake_ports in (None, fresh_awake_ports(node)), \
+                f"node {node.node_id}: stale awake ports after the tick at t={t1}"
         ticks.append(t1)
         return ctrl_bytes
 

@@ -8,7 +8,7 @@ from gospf.graph import is_connected, shortest_paths
 from gospf.protocol import (ControlMessage, GospfNode, MessageKind,
                             ProtocolHooks)
 
-from conftest import make_topology
+from conftest import fresh_awake_ports, make_topology
 
 
 class RecordingHooks(ProtocolHooks):
@@ -332,6 +332,51 @@ def test_flood_transmission_bound():
                                                        arrival_link=tx.link_id))
     active = sum(1 for n in nodes.values() for s in [n] if s) and len(topo.links)
     assert len(transmissions) <= 2 * active
+
+
+# ------------------------------------------------------- awake-port cache
+# Each node caches the ports it floods over. A stale cache would send the
+# re-flood below over the wrong links.
+
+def primed(node):
+    """`node` with its awake-port cache filled."""
+    assert node.awake_ports() == fresh_awake_ports(node)
+    return node
+
+
+def reflood_links(node, msg, arrival_link):
+    out = node.handle_message(0.4, msg, arrival_link=arrival_link)
+    assert node._awake_ports == fresh_awake_ports(node)
+    return {tx.link_id for tx in out}
+
+
+def test_sleep_drops_the_awake_ports():
+    node = primed(build_node(chain_topology(), 3))
+    msg = ControlMessage(MessageKind.LSCUP, origin=1, seq=0, links=(5,))
+    assert reflood_links(node, msg, arrival_link=2) == {3, 7}
+
+
+def test_wake_drops_the_awake_ports():
+    node = build_node(chain_topology(), 1)
+    populate_matrix(node, (5,))
+    primed(node)
+    msg = ControlMessage(MessageKind.LSGUP, origin=2, seq=0, links=(5,), expiry=2.6)
+    assert reflood_links(node, msg, arrival_link=1) == {5}
+
+
+def test_lsa_drops_the_awake_ports():
+    node = primed(build_node(square_topology(), 1))
+    msg = ControlMessage(MessageKind.LSA, origin=4, seq=0, links=(4,))
+    assert reflood_links(node, msg, arrival_link=1) == set()
+
+
+def test_reset_drops_the_awake_ports():
+    node = build_node(square_topology(), 1)
+    cut = ControlMessage(MessageKind.LSCUP, origin=4, seq=0, links=(4,))
+    assert reflood_links(node, cut, arrival_link=1) == set()
+    primed(node)
+    msg = ControlMessage(MessageKind.RESET, origin=2, seq=0, links=(2,))
+    assert reflood_links(node, msg, arrival_link=1) == {4}
 
 
 # ------------------------------------------------------------------- reset

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gospf.traffic
@@ -76,6 +76,59 @@ def test_rate_decrease_never_bursts():
     flow.add_step(10.0, 1e6)
     matrix = TrafficMatrix([flow], horizon=100.0)
     assert matrix.demand_at(10.0, 0.2, 0.01)[1] == pytest.approx(1e6)
+
+
+# -------------------------------------------------------- demand change walk
+
+@st.composite
+def demand_walks(draw):
+    """A t_sample, a window count and UDP/TCP rate schedules whose
+    breakpoints lie on window starts (`w * t_sample`, as the engine computes
+    them), on their 6-digit roundings (as `generate_traffic` writes them),
+    or anywhere in the run."""
+    ts = draw(st.sampled_from((0.2, 0.3, 0.02)))
+    n_windows = draw(st.integers(min_value=1, max_value=80))
+    window_index = st.integers(min_value=0, max_value=n_windows)
+    breakpoint_time = st.one_of(window_index.map(lambda w: w * ts),
+                                window_index.map(lambda w: round(w * ts, 6)),
+                                st.floats(min_value=0.0, max_value=n_windows * ts))
+    schedules = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        times = sorted(draw(st.lists(breakpoint_time, max_size=6, unique=True)))
+        rates = draw(st.lists(st.sampled_from((0.0, 1e6, 2e6, 5e6)),
+                              min_size=len(times), max_size=len(times)))
+        schedules.append((draw(st.sampled_from(("udp", "tcp"))), list(zip(times, rates))))
+    return ts, n_windows, schedules
+
+
+@settings(max_examples=200, deadline=None)
+@given(demand_walks())
+# ROADMAP item 5: window 3 starts at 3 * 0.3 = 0.8999999999999999, so the
+# step at t=0.9 lands in window 4 and its TCP burst is dropped. The walk
+# must keep that, as demand_at does.
+@example((0.3, 8, [("tcp", [(0.0, 1e6), (0.9, 2e6)])]))
+def test_demand_walk_matches_demand_at_in_every_window(case):
+    ts, n_windows, schedules = case
+    flows = []
+    for fid, (kind, schedule) in enumerate(schedules, start=1):
+        flow = Flow(fid, 1, 2, kind)
+        for t, rate in schedule:
+            flow.add_step(t, rate)
+        flows.append(flow)
+    matrix = TrafficMatrix(flows, horizon=n_windows * ts)
+    walk = list(matrix.window_demands(n_windows, ts, 0.01))
+    assert len(walk) == n_windows
+    for w, rates in enumerate(walk):
+        assert rates == matrix.demand_at(w * ts, ts, 0.01), f"window {w}"
+
+
+def test_demand_walk_raises_where_demand_at_does():
+    matrix = TrafficMatrix([constant_flow(1, 1, 2, 3e6)], horizon=1.0)
+    walk = matrix.window_demands(10, 0.2, 0.01)
+    for _w in range(6):  # window 5 starts at 5 * 0.2 = 1.0, the horizon
+        assert next(walk) == {1: 3e6}
+    with pytest.raises(OutOfHorizon):
+        next(walk)
 
 
 # ---------------------------------------------------------------- allocate
