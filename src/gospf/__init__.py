@@ -11,7 +11,7 @@ from .graph import (DisconnectedTopology, Link, RoutingTable, SpanningTree,
                     parse_topology, shortest_paths, write_topology)
 from .oracle import (CmndInstance, CmndSolution, Demand, Infeasible,
                      InstanceTooLarge, heuristic_gap, solve_static)
-from .protocol import ControlMessage, GospfNode, MessageKind, Transmission
+from .protocol import ControlMessage, GospfNode, MessageKind
 from .traffic import (Flow, TrafficError, TrafficMatrix, allocate,
                       generate_traffic, parse_traffic, write_traffic)
 

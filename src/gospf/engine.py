@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from .config import ConfigError, ScenarioConfig
 from .energy import EnergyAccount, OperationalState, plan_window, total_network_energy
 from .graph import (DisconnectedTopology, RoutingTable, SpanningTree, Topology,
-                    bfs_hop_counts, is_connected, shortest_paths, write_topology)
+                    bfs_hop_counts, is_connected, ospf_costs, shortest_paths,
+                    write_topology)
 from .protocol import GospfNode, ProtocolHooks
 from .traffic import TrafficMatrix, allocate, write_traffic
 
@@ -212,7 +213,7 @@ class AlwaysOn:
         if table is None:
             run = self.run
             usable = frozenset(run.topology.links) - frozenset(run.failed)
-            table = shortest_paths(run.topology, usable, source, run.cfg.ref_bandwidth)
+            table = shortest_paths(run.topology, usable, source, run.costs)
             self.tables[source] = table
         return table
 
@@ -242,7 +243,7 @@ class GospfController(ProtocolHooks):
         self.nodes = {nid: GospfNode(
             nid, run.topology, gamma_u=cfg.gamma_u, gamma_l=cfg.gamma_l,
             safeguard_interval=cfg.safeguard, mcst_reset_timer=cfg.mcst_reset_timer,
-            t_sample=cfg.t_sample, ref_bandwidth=cfg.ref_bandwidth, hooks=self)
+            t_sample=cfg.t_sample, costs=run.costs, hooks=self)
             for nid in run.topology.node_ids}
         # Message copies each link carried since the last window start, and
         # over the whole run.
@@ -317,7 +318,7 @@ class GospfController(ProtocolHooks):
         for node in nodes.values():
             node.seen.clear()
         for node in nodes.values():
-            for lid, _sender, receiver, msg in node.sample_tick(t1, samples):
+            for lid, receiver, msg in node.sample_tick(t1, samples):
                 push(queue, (t1 + latency, msg.origin, msg.seq, receiver, counter, lid, msg))
                 counter += 1
                 copies[lid] = copies.get(lid, 0) + 1
@@ -330,7 +331,7 @@ class GospfController(ProtocolHooks):
             if not sent:
                 continue
             forwarded = arrival + latency
-            for lid, _sender, peer, out in sent:
+            for lid, peer, out in sent:
                 push(queue, (forwarded, out.origin, out.seq, peer, counter, lid, out))
                 counter += 1
                 copies[lid] = copies.get(lid, 0) + 1
@@ -372,8 +373,9 @@ class _Run:
             if lid not in self.topology.links:
                 raise ConfigError(f"scheduled failure of unknown link {lid}")
 
-        hops = bfs_hop_counts(self.topology, min(self.topology.nodes))
-        diameter = max(hops.values()) if hops else 0
+        all_links = frozenset(self.topology.links)
+        diameter = max(max(bfs_hop_counts(self.topology, source, all_links).values())
+                       for source in self.topology.nodes)
         if self.cfg.control_latency * (diameter + 2) > self.cfg.t_sample:
             raise ConfigError(
                 "control_latency too large for t_sample: floods must settle "
@@ -391,6 +393,8 @@ class _Run:
             (lid, link.capacity, self.accounts[(lid, link.a)], self.accounts[(lid, link.b)])
             for lid, link in self.topology.links.items()]
 
+        # OSPF cost per link, shared by every routing table of the run.
+        self.costs = ospf_costs(self.topology, self.cfg.ref_bandwidth)
         self.failed: set[int] = set()
         # Links usable for traffic; None until recomputed after a change.
         self.active: frozenset[int] | None = None

@@ -11,6 +11,7 @@ inputs arrives at the same answer.
 import heapq
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 
@@ -51,6 +52,8 @@ class Topology:
 
     def __init__(self, nodes: dict[int, str], links):
         self.nodes: dict[int, str] = dict(sorted(nodes.items()))
+        if not self.nodes:
+            raise TopologyError("topology has no nodes")
         self.links: dict[int, Link] = {}
         seen_pairs: set[tuple[int, int]] = set()
         for link in sorted(links, key=lambda l: l.link_id):
@@ -84,7 +87,7 @@ class Topology:
             n: tuple(sorted(lid for _, lid in nbrs))
             for n, nbrs in self.adjacency.items()}
 
-        if self.nodes and not is_connected(self, frozenset(self.links)):
+        if not is_connected(self, frozenset(self.links)):
             raise DisconnectedTopology("physical graph is not connected")
 
     @property
@@ -157,62 +160,64 @@ def compute_mcst(topology: Topology, exclude: frozenset[int] = frozenset()) -> S
 
 
 def bfs_hop_counts(topology: Topology, source: int,
-                   exclude: frozenset[int] = frozenset()) -> dict[int, int]:
-    """Unit-weight hop count from `source` to every reachable node."""
+                   active: frozenset[int] | set[int]) -> dict[int, int]:
+    """Unit-weight hop count from `source` to every node it reaches over the
+    `active` links."""
     dist = {source: 0}
     queue = deque([source])
     while queue:
         node = queue.popleft()
         for nbr, lid in topology.adjacency[node]:
-            if lid in exclude or nbr in dist:
+            if lid not in active or nbr in dist:
                 continue
             dist[nbr] = dist[node] + 1
             queue.append(nbr)
     return dist
 
 
+def is_connected(topology: Topology, active: frozenset[int] | set[int]) -> bool:
+    """True iff the active links connect every node of the topology."""
+    start = next(iter(topology.nodes))
+    return len(bfs_hop_counts(topology, start, active)) == len(topology.nodes)
+
+
+def ospf_costs(topology: Topology, ref_bandwidth: float = 1e8) -> dict[int, float]:
+    """OSPF cost of each link, the reference bandwidth over its capacity."""
+    return {lid: ref_bandwidth / link.capacity for lid, link in topology.links.items()}
+
+
 def shortest_paths(topology: Topology, active: frozenset[int] | set[int],
-                   source: int, ref_bandwidth: float = 1e8) -> RoutingTable:
-    """Dijkstra over the active links with OSPF-style cost ref_bandwidth/capacity.
+                   source: int, costs: Mapping[int, float],
+                   target: int | None = None) -> RoutingTable:
+    """Dijkstra over the active links under the per-link `costs`, stopping
+    once `target` is settled when one is given.
 
     Among equal-cost routes the lexicographically smallest node-id sequence
     wins, which both fixes every path deterministically and matches a
-    brute-force (cost, path) minimization.
+    brute-force (cost, path) minimization. The table holds settled nodes
+    only. Costs may be floats (OSPF) or exact integers (the oracle); the
+    search starts at cost 0 and adds each link's cost in path order.
     """
-    best: dict[int, tuple[float, tuple[int, ...]]] = {source: (0.0, (source,))}
-    settled: set[int] = set()
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (source,))]
+    best: dict[int, tuple] = {source: (0, (source,))}
+    paths: dict[int, tuple[int, ...]] = {}
+    heap = [(0, (source,))]
+    adjacency = topology.adjacency
     while heap:
         cost, path = heapq.heappop(heap)
         node = path[-1]
-        if node in settled:
+        if node in paths:
             continue
-        settled.add(node)
-        for nbr, lid in topology.adjacency[node]:
-            if lid not in active or nbr in settled:
+        paths[node] = path
+        if node == target:
+            break
+        for nbr, lid in adjacency[node]:
+            if lid not in active or nbr in paths:
                 continue
-            cand = (cost + ref_bandwidth / topology.links[lid].capacity, path + (nbr,))
+            cand = (cost + costs[lid], path + (nbr,))
             if nbr not in best or cand < best[nbr]:
                 best[nbr] = cand
                 heapq.heappush(heap, cand)
-    return RoutingTable(source=source,
-                        paths={dest: path for dest, (_cost, path) in best.items()})
-
-
-def is_connected(topology: Topology, active: frozenset[int] | set[int]) -> bool:
-    """True iff the active links connect every node of the topology."""
-    if not topology.nodes:
-        return True
-    start = next(iter(topology.nodes))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nbr, lid in topology.adjacency[node]:
-            if lid in active and nbr not in seen:
-                seen.add(nbr)
-                queue.append(nbr)
-    return len(seen) == len(topology.nodes)
+    return RoutingTable(source=source, paths=paths)
 
 
 def parse_topology(text: str, *, p_active: float = 1.0, p_idle: float = 0.8,

@@ -8,14 +8,13 @@ instance's rationals to integers, and the results are rationals again.
 Intended for desk-scale instances only; a guardrail rejects anything larger.
 """
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import MODE_GOSPF, Scenario, run
-from .graph import Topology
+from .graph import Topology, shortest_paths
 
 
 class OracleError(ValueError):
@@ -78,30 +77,6 @@ class CmndSolution:
         return self.power_cost + self.routing_cost
 
 
-def _lex_shortest_path(topology: Topology, active: frozenset[int], costs,
-                       src: int, dst: int) -> tuple[int, tuple[int, ...]] | None:
-    """Min-cost path with lexicographically smallest node sequence."""
-    best = {src: (0, (src,))}
-    settled = set()
-    heap = [(0, (src,))]
-    while heap:
-        cost, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in settled:
-            continue
-        if node == dst:
-            return cost, path
-        settled.add(node)
-        for nbr, lid in topology.adjacency[node]:
-            if lid not in active or nbr in settled:
-                continue
-            cand = (cost + costs[lid], path + (nbr,))
-            if nbr not in best or cand < best[nbr]:
-                best[nbr] = cand
-                heapq.heappush(heap, cand)
-    return None
-
-
 def _all_simple_paths(topology: Topology, active: frozenset[int],
                       src: int, dst: int) -> list[tuple[int, ...]]:
     paths = []
@@ -148,7 +123,7 @@ def _route_demands(topology: Topology, active: frozenset[int], costs, limits,
                    demands, shortest) -> tuple[int, dict[int, tuple[int, ...]]] | None:
     """Best single-path routing of `demands` over `active`, or None.
 
-    `shortest` holds each demand's (cost, path) from `_lex_shortest_path`
+    `shortest` holds each demand's lexicographic shortest (cost, path)
     over `active`. These independent shortest paths are tried first; on a
     capacity conflict the joint assignment is searched exhaustively with
     cost-bound pruning.
@@ -265,23 +240,25 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
     def routing_bound(available: frozenset[int]) -> tuple[int, set[int], list] | None:
         """Routing lower bound over `available`, each demand at its
         uncapacitated minimum cost, the links of the paths that reach it,
-        and each demand's (cost, path); None if some demand has no path."""
+        and each demand's (cost, path); None if some demand has no path.
+        A path's cost is the exact sum of its links' integer costs."""
         bound, path_links, shortest = 0, set(), []
         for d in demands:
-            found = _lex_shortest_path(topology, available, costs, d.src, d.dst)
-            if found is None:
+            path = shortest_paths(topology, available, d.src, costs, d.dst).paths.get(d.dst)
+            if path is None:
                 return None
-            cost, path = found
+            links = list(map(topology.link_between, path, path[1:]))
+            cost = sum(map(costs.__getitem__, links))
             bound += d.weight * cost
-            path_links.update(map(topology.link_between, path, path[1:]))
-            shortest.append(found)
+            path_links.update(links)
+            shortest.append((cost, path))
         return bound, path_links, shortest
 
     full = frozenset(link_ids)
     root = routing_bound(full)
     if root is None:
         d = next(d for d in demands
-                 if _lex_shortest_path(topology, full, costs, d.src, d.dst) is None)
+                 if d.dst not in shortest_paths(topology, full, d.src, costs, d.dst).paths)
         raise Infeasible(f"no path for demand {d.src}->{d.dst} even with all links")
 
     best: dict = {"objective": None, "solution": None}

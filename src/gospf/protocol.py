@@ -10,12 +10,11 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .energy import (InterfaceRole, OperationalState, UtilizationClass, classify,
                      validate_thresholds)
 from .graph import (RoutingTable, SpanningTree, Topology, bfs_hop_counts,
-                    compute_mcst, shortest_paths)
+                    compute_mcst, ospf_costs, shortest_paths)
 
 log = logging.getLogger(__name__)
 
@@ -49,15 +48,6 @@ class ControlMessage:
         return (self.origin, self.seq)
 
 
-class Transmission(NamedTuple):
-    """One copy of a message sent over one link."""
-
-    link_id: int
-    sender: int
-    receiver: int
-    message: ControlMessage
-
-
 class ProtocolHooks:
     """Engine-side callbacks; the default implementation records nothing."""
 
@@ -79,11 +69,12 @@ class ProtocolHooks:
 
 class GospfNode:
     """Sequential per-router state machine. The engine delivers ticks and
-    messages one at a time; outputs are transmissions to enqueue."""
+    messages one at a time; outputs are (link, peer, message) copies to
+    enqueue."""
 
     def __init__(self, node_id: int, topology: Topology, *, gamma_u: float,
                  gamma_l: float, safeguard_interval: float, mcst_reset_timer: float,
-                 t_sample: float = 0.2, ref_bandwidth: float = 1e8,
+                 t_sample: float = 0.2, costs: dict[int, float] | None = None,
                  hooks: ProtocolHooks | None = None):
         self.node_id = node_id
         self.topology = topology
@@ -93,7 +84,8 @@ class GospfNode:
         self.safeguard_interval = safeguard_interval
         self.mcst_reset_timer = mcst_reset_timer
         self.t_sample = t_sample
-        self.ref_bandwidth = ref_bandwidth
+        # OSPF cost per link; an engine hands every node the same table.
+        self.costs = ospf_costs(topology) if costs is None else costs
         self.hooks = hooks or ProtocolHooks()
 
         self.failed: set[int] = set()
@@ -139,7 +131,8 @@ class GospfNode:
         """Hop counts over the surviving links, and from them the cut-matrix
         row of every link: hops to its nearer endpoint (inf if neither is
         reachable)."""
-        hops = bfs_hop_counts(self.topology, self.node_id, frozenset(self.failed))
+        hops = bfs_hop_counts(self.topology, self.node_id,
+                              self.topology.links.keys() - self.failed)
         self._row_of = {lid: min(hops.get(link.a, math.inf), hops.get(link.b, math.inf))
                         for lid, link in self.topology.links.items()}
 
@@ -155,8 +148,7 @@ class GospfNode:
             memo = self._route_memo
             table = memo.pop(view, None)
             if table is None:
-                table = shortest_paths(self.topology, view, self.node_id,
-                                       self.ref_bandwidth)
+                table = shortest_paths(self.topology, view, self.node_id, self.costs)
                 if len(memo) == 2:
                     del memo[next(iter(memo))]
             memo[view] = table
@@ -180,9 +172,8 @@ class GospfNode:
         return ports
 
     def flood(self, message: ControlMessage, arrival_link: int | None = None):
-        """Copies of `message` for every awake interface except the arrival one."""
-        node_id = self.node_id
-        return [Transmission(lid, node_id, peer, message)
+        """(link, peer, message) for every awake interface except the arrival one."""
+        return [(lid, peer, message)
                 for lid, peer in self.awake_ports() if lid != arrival_link]
 
     def _sleep_interface(self, now: float, link_id: int) -> None:
@@ -207,7 +198,7 @@ class GospfNode:
         """Periodic check: handle failure news, then cut or graft per the
         thresholds. `samples` maps link ids to their utilization over the
         window just ended and may cover more links than this node owns.
-        Returns transmissions to send."""
+        Returns the copies to send."""
         out = []
         while self.pending_failures:
             lid = self.pending_failures.pop(0)

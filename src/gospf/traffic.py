@@ -5,7 +5,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .graph import Topology, compute_mcst, shortest_paths
+from .graph import Topology, compute_mcst, ospf_costs, shortest_paths
 
 
 class TrafficError(ValueError):
@@ -261,7 +261,8 @@ def daily_shape(hour: float) -> float:
 def full_graph_tables(topology: Topology, ref_bandwidth: float = 1e8):
     """One full-graph routing table per node, keyed by node id."""
     full = frozenset(topology.links)
-    return {n: shortest_paths(topology, full, n, ref_bandwidth) for n in topology.node_ids}
+    costs = ospf_costs(topology, ref_bandwidth)
+    return {n: shortest_paths(topology, full, n, costs) for n in topology.node_ids}
 
 
 def place_flows(topology: Topology, count: int, ref_bandwidth: float = 1e8,
@@ -335,13 +336,14 @@ def generate_traffic(topology: Topology, kind: str, count: int, peak_util: float
         raise TrafficError(f"unknown flavor {flavor!r}")
     if count < 1:
         raise TrafficError("flow count must be >= 1")
-    if peak_util <= 0:
+    if not peak_util > 0:
         raise TrafficError("peak utilization must be positive")
 
     full_tables = full_graph_tables(topology, ref_bandwidth)
     pairs = place_flows(topology, count, tables=full_tables)
     tree = compute_mcst(topology)
-    tree_tables = {s: shortest_paths(topology, tree.edges, s, ref_bandwidth)
+    costs = ospf_costs(topology, ref_bandwidth)
+    tree_tables = {s: shortest_paths(topology, tree.edges, s, costs)
                    for s in sorted({s for s, _ in pairs})}
 
     def bottleneck(path):

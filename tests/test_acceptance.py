@@ -285,13 +285,13 @@ def test_criterion_10_protocol_invariant_suite():
         processed = {n: 0 for n in nodes}
         before = {n: set(nodes[n].seen) for n in nodes}
         while queue:
-            tx = queue.pop(0)
+            link, receiver, message = queue.pop(0)
             transmissions += 1
-            fresh = tx.message.key() not in nodes[tx.receiver].seen
+            fresh = message.key() not in nodes[receiver].seen
             if fresh:
-                processed[tx.receiver] += 1
-            queue.extend(nodes[tx.receiver].handle_message(
-                0.2, tx.message, arrival_link=tx.link_id))
+                processed[receiver] += 1
+            queue.extend(nodes[receiver].handle_message(
+                0.2, message, arrival_link=link))
         assert all(processed[n] == 1 for n in nodes if n != origin)
         assert transmissions <= 2 * len(topo.links)
 

@@ -339,3 +339,27 @@ def test_run_rejects_non_finite_or_negative_inputs(tmp_path, capsys, topo_text,
     assert err.startswith("gospf: error:")
     assert "line " in err
     assert "Traceback" not in err
+
+
+def test_gen_traffic_rejects_nan_peak_util(small_files, capsys):
+    topo, _traffic, _config = small_files
+    code = run_cli("gen-traffic", "--kind", "daily", "--topology", topo,
+                   "--flows", "1", "--peak-util", "nan")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("gospf: error:")
+    assert "peak utilization must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["run", "gap"])
+def test_topology_without_nodes_is_diagnosed(tmp_path, capsys, command):
+    topo = tmp_path / "empty.topo"
+    topo.write_text("# no nodes\n")
+    traffic = tmp_path / "empty.traffic"
+    traffic.write_text("")
+    code = run_cli(command, "--topology", topo, "--traffic", traffic,
+                   "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("gospf: error:")
+    assert "topology has no nodes" in err

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import hashlib
+import math
 import random
 
 import pytest
@@ -11,12 +12,12 @@ import gospf.engine
 import gospf.protocol
 from gospf.config import ConfigError, ScenarioConfig, parse_config
 from gospf.energy import (EnergyAccount, NegativeDuration, OperationalState,
-                          plan_window)
+                          plan_window, total_network_energy)
 from gospf.engine import (GospfController, MetricsSeries, MismatchedScenarios,
-                          Scenario, compare, run)
-from gospf.graph import compute_mcst
+                          RunResult, Scenario, compare, run)
+from gospf.graph import compute_mcst, is_connected
 from gospf.protocol import GospfNode
-from gospf.traffic import Flow, TrafficMatrix, generate_traffic
+from gospf.traffic import Flow, TrafficMatrix, allocate, generate_traffic
 
 from conftest import fresh_awake_ports, make_topology, random_connected_topology
 
@@ -251,6 +252,16 @@ def test_engine_rejects_excessive_latency():
     topo = make_topology([(1, 2), (2, 3)], 1e7)
     with pytest.raises(ConfigError):
         run(scenario(topo, horizon=5.0, control_latency=0.15))
+
+
+def test_latency_check_uses_the_hop_diameter():
+    # On the path 4-2-1-3-5 the lowest node, 1, is at most 2 hops from any
+    # other, but the ends are 4 hops apart: 0.045 * (4 + 2) = 0.27 > 0.2.
+    topo = make_topology([(4, 2), (2, 1), (1, 3), (3, 5)], 1e7)
+    with pytest.raises(ConfigError, match="control_latency too large"):
+        run(scenario(topo, horizon=1.0, t_sample=0.2, control_latency=0.045))
+    # 0.033 * (4 + 2) = 0.198 fits.
+    run(scenario(topo, horizon=1.0, t_sample=0.2, control_latency=0.033))
 
 
 # ------------------------------------------------------------------ metrics
@@ -535,6 +546,141 @@ def test_daily_pair_skips_unchanged_work(garr48, monkeypatch):
                   "handle_message": 132_567},
         "baseline": {"demand_at": 96, "plan_window": 60},
     }
+
+
+# ------------------------------------------------------------ reference loop
+
+def reference_run(sc):
+    """`run` without any reuse: every window applies its failures, calls
+    `demand_at`, takes routes from the controller, allocates, plans and
+    applies its energy, ticks and checks connectivity. A `_Run` supplies the
+    real controller, the accounts and the run's cost table; its own loop is
+    not used."""
+    state = gospf.engine._Run(sc, capture_states=False)
+    cfg, topo, ctrl, traffic = state.cfg, state.topology, state.controller, sc.traffic
+    ts = cfg.t_sample
+    capacities = {lid: link.capacity for lid, link in topo.links.items()}
+    all_links = frozenset(topo.links)
+    metrics = MetricsSeries(mode=cfg.mode, fingerprint=sc.fingerprint(),
+                            t_sample=ts, horizon=cfg.horizon)
+
+    def active_links():
+        return frozenset(lid for lid in topo.links
+                         if lid not in state.failed and ctrl.awake(lid))
+
+    cumulative_energy = 0.0
+    for w in range(int(math.floor(cfg.horizon / ts + 1e-9))):
+        t0 = w * ts
+        t1 = t0 + ts
+        events_before = len(state.events)
+        failed_this_window = False
+        for ft, lid in sorted(sc.link_failures):
+            if ft < t1 and lid not in state.failed:
+                state.failed.add(lid)
+                failed_this_window = True
+                ctrl.fail(lid)
+        ctrl_bits = ctrl.start_window(w, t0)
+        rates = traffic.demand_at(t0, ts, cfg.tcp_burst_frac)
+        flow_paths = [(fid, rate, ctrl.routing_for(traffic.flows[fid].src)
+                       .paths.get(traffic.flows[fid].dst))
+                      for fid, rate in rates.items() if rate > 0]
+        alloc = allocate(flow_paths, capacities, active_links(), ts, topo.link_between)
+        link_bits = dict(alloc.link_bits)
+        for lid, bits in ctrl_bits.items():
+            link_bits[lid] = link_bits.get(lid, 0.0) + bits
+        busy = [min(ts, link_bits.get(lid, 0.0) / link.capacity)
+                for lid, link in topo.links.items()]
+        samples = {lid: link_bits.get(lid, 0.0) / (link.capacity * ts)
+                   for lid, link in topo.links.items()}
+        plan_window(((state.accounts[(lid, side)], t_busy)
+                     for (lid, link), t_busy in zip(topo.links.items(), busy)
+                     for side in link.endpoints()), ts).apply()
+        ctrl_bytes = ctrl.tick(t1, samples)
+        active = active_links()
+        if (is_connected(topo, all_links - state.failed)
+                and not is_connected(topo, active)):
+            raise AssertionError(f"window {w}: active link set no longer spans the network")
+
+        total = total_network_energy(state.accounts.values())
+        window_energy, cumulative_energy = total - cumulative_energy, total
+        metrics.times.append(t0)
+        metrics.active_links.append(len(active))
+        metrics.power_w.append(window_energy / ts)
+        metrics.throughput_bps.append(alloc.delivered_bits / ts)
+        metrics.energy_j.append(cumulative_energy)
+        metrics.ctrl_bytes.append(ctrl_bytes)
+        metrics.dropped_bits.append(alloc.dropped_bits)
+        metrics.offered_bits_total += alloc.offered_bits
+        metrics.delivered_bits_total += alloc.delivered_bits
+        metrics.dropped_bits_total += alloc.dropped_bits
+        metrics.ctrl_bytes_total += ctrl_bytes
+        metrics.quiesced.append(not ctrl_bytes and len(state.events) == events_before
+                                and not failed_this_window and not ctrl.resetting())
+    metrics.congestion_unresolved = state.congestion_unresolved
+    return RunResult(metrics=metrics, events=state.events, accounts=state.accounts,
+                     flood_copies=ctrl.flood_copies)
+
+
+def run_outcome(runner, sc):
+    """What a run loop produced: the counted digest, the per-link report and
+    the quiesced flags, or the type and message of the error it raised."""
+    try:
+        result = runner(sc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (counted_digest(result), result.links_csv_text(sc.topology),
+            result.metrics.quiesced)
+
+
+@st.composite
+def reference_cases(draw):
+    # Steps and failures fall on, and between, window starts; failures hit
+    # any link, so tree-link resets and partitions are drawn too.
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    n = draw(st.integers(min_value=4, max_value=8))
+    topo = random_connected_topology(rng, n, draw(st.integers(min_value=1, max_value=n)))
+    t_sample = draw(st.sampled_from((0.2, 0.3, 0.02)))
+    horizon = draw(st.sampled_from((4.0, 8.0, 12.0) if t_sample != 0.02 else (2.0, 4.0)))
+    flows = []
+    for fid in range(1, draw(st.integers(min_value=1, max_value=4)) + 1):
+        src, dst = rng.sample(sorted(topo.nodes), 2)
+        times = sorted(rng.sample(range(int(horizon * 10)), rng.randint(1, 4)))
+        flows.append(stepped_flow(fid, src, dst, [
+            (0.1 * k, rng.choice((0.0, 1e5, 2e6, 9e6, 1.5e7, 3e7))) for k in times],
+            rng.choice(("udp", "tcp"))))
+    failures = [(draw(st.integers(min_value=1, max_value=int(horizon * 10) - 1)) * 0.1, lid)
+                for lid in draw(st.lists(st.sampled_from(sorted(topo.links)),
+                                         max_size=2, unique=True))]
+    return scenario(topo, TrafficMatrix(flows, horizon), failures=failures,
+                    horizon=horizon, t_sample=t_sample,
+                    control_latency=draw(st.sampled_from((0.001, 0.0))),
+                    mode=draw(st.sampled_from(("gospf", "gospf", "baseline"))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(reference_cases())
+def test_run_matches_the_reference_loop(sc):
+    assert run_outcome(run, sc) == run_outcome(reference_run, sc)
+
+
+@pytest.mark.parametrize("make", [
+    *GOLDEN_SCENARIOS.values(),
+    lambda garr48: baseline_failure_scenario(),
+    lambda garr48: cut_graft_scenario(t_sample=0.3),
+    lambda garr48: cut_graft_scenario(t_sample=0.02),
+], ids=[*GOLDEN_SCENARIOS.keys(), "baseline_failure", "t_sample_0.3", "t_sample_0.02"])
+def test_run_matches_the_reference_loop_on_the_golden_scenarios(garr48, make):
+    sc = make(garr48)
+    outcome = run_outcome(run, sc)
+    assert isinstance(outcome[0], str)
+    assert outcome == run_outcome(reference_run, sc)
+
+
+def test_reference_loop_raises_as_run_does_when_a_cut_races_a_reset():
+    # The race leaves an active set that stops spanning after the first
+    # checked one, so a loop that checked only once would finish.
+    sc = cut_racing_reset_scenario()
+    assert run_outcome(run, sc) == run_outcome(reference_run, sc)
 
 
 # --------------------------------------------------------- converged views

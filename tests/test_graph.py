@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from gospf.graph import (DisconnectedTopology, Link, Topology, TopologyError,
                          bfs_hop_counts, compute_mcst, is_connected,
-                         parse_topology, shortest_paths, write_topology)
+                         ospf_costs, parse_topology, shortest_paths,
+                         write_topology)
 from gospf.protocol import GospfNode
 
 from conftest import make_topology, random_connected_topology
@@ -145,7 +146,7 @@ def test_hop_distance_path_graph():
 @given(topologies())
 def test_hop_distance_matches_bfs(topo):
     node = min(topo.nodes)
-    hops = bfs_hop_counts(topo, node)
+    hops = bfs_hop_counts(topo, node, frozenset(topo.links))
     rows = hop_rows(topo, node)
     for link in topo.links.values():
         assert rows[link.link_id] == min(hops[link.a], hops[link.b])
@@ -160,7 +161,7 @@ def test_hop_distance_zero_iff_incident(garr48):
 
 def test_hop_distance_on_reference_topology_matches_bfs(garr48):
     for node in (1, 25, 48):
-        hops = bfs_hop_counts(garr48, node)
+        hops = bfs_hop_counts(garr48, node, frozenset(garr48.links))
         rows = hop_rows(garr48, node)
         for link in garr48.links.values():
             assert rows[link.link_id] == min(hops[link.a], hops[link.b])
@@ -170,14 +171,14 @@ def test_hop_distance_on_reference_topology_matches_bfs(garr48):
 
 def test_shortest_paths_source_is_trivial():
     topo = make_topology([(1, 2)])
-    table = shortest_paths(topo, frozenset({1}), 1)
+    table = shortest_paths(topo, frozenset({1}), 1, ospf_costs(topo))
     assert table.paths[1] == (1,)
     assert path_cost(topo, table.paths[1]) == 0.0
 
 
 def test_shortest_paths_two_nodes():
     topo = make_topology([(1, 2)])
-    table = shortest_paths(topo, frozenset({1}), 1)
+    table = shortest_paths(topo, frozenset({1}), 1, ospf_costs(topo))
     assert table.source == 1
     assert table.paths[2] == (1, 2)
 
@@ -187,7 +188,7 @@ def test_shortest_paths_five_node_mixed_capacities():
     topo = make_topology([(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (2, 4)],
                          [1e7, 1e7, 5e7, 1e7, 2e7, 2.5e7])
     active = frozenset(topo.links)
-    table = shortest_paths(topo, active, 1)
+    table = shortest_paths(topo, active, 1, ospf_costs(topo))
     oracle = brute_force_paths(topo, active, 1)
     for dest in topo.nodes:
         assert path_cost(topo, table.paths[dest]) == oracle[dest][0]
@@ -199,16 +200,33 @@ def test_shortest_paths_five_node_mixed_capacities():
 def test_shortest_paths_match_brute_force(topo):
     active = frozenset(topo.links)
     for source in topo.nodes:
-        table = shortest_paths(topo, active, source)
+        table = shortest_paths(topo, active, source, ospf_costs(topo))
         oracle = brute_force_paths(topo, active, source)
         for dest in topo.nodes:
             assert path_cost(topo, table.paths[dest]) == pytest.approx(oracle[dest][0])
             assert table.paths[dest] == oracle[dest][1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(topologies(), st.integers(min_value=0, max_value=10_000))
+def test_targeted_search_settles_the_full_tables_paths(topo, seed):
+    # Stopping at a target changes no path: the targeted table holds the
+    # target's full-table path and only nodes already settled, each with
+    # its full-table path.
+    rng = random.Random(seed)
+    active = frozenset(lid for lid in topo.links if rng.random() < 0.8)
+    costs = ospf_costs(topo)
+    for source in topo.nodes:
+        full = shortest_paths(topo, active, source, costs).paths
+        for target in topo.nodes:
+            paths = shortest_paths(topo, active, source, costs, target=target).paths
+            assert paths.get(target) == full.get(target)
+            assert all(full[node] == path for node, path in paths.items())
+
+
 def test_shortest_paths_reports_unreachable():
     topo = make_topology([(1, 2), (2, 3)])
-    table = shortest_paths(topo, frozenset({1}), 1)
+    table = shortest_paths(topo, frozenset({1}), 1, ospf_costs(topo))
     assert set(table.paths) == {1, 2}
     assert 3 not in table.paths
 
@@ -234,6 +252,13 @@ def test_parse_round_trip(garr48):
     again = parse_topology(text)
     assert again.nodes == garr48.nodes
     assert again.links == garr48.links
+
+
+def test_topology_without_nodes_rejected():
+    with pytest.raises(TopologyError, match="topology has no nodes"):
+        parse_topology("# no node lines\n")
+    with pytest.raises(TopologyError, match="topology has no nodes"):
+        Topology({}, [])
 
 
 def test_parse_rejects_duplicate_node():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import gospf.oracle
 from gospf.config import ScenarioConfig, parse_config
 from gospf.engine import Scenario, run
-from gospf.graph import Topology, _UnionFind
+from gospf.graph import Topology, _UnionFind, shortest_paths
 from gospf.oracle import (CmndInstance, CmndSolution, Demand, Infeasible,
                           InstanceTooLarge, check_flow_feasibility, gap_csv,
                           heuristic_gap, solve_static)
@@ -267,6 +267,25 @@ def fraction_lex_shortest_path(topology: Topology, active: frozenset[int], costs
                 best[nbr] = cand
                 heapq.heappush(heap, cand)
     return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 8), st.integers(0, 5))
+def test_targeted_search_equals_the_rational_reference(seed, n_nodes, extra):
+    # Small integer costs make equal-cost routes common, so the
+    # lexicographic tie-break decides many of these paths.
+    rng = random.Random(seed)
+    topo = random_connected_topology(rng, n_nodes, extra)
+    costs = {lid: rng.randint(1, 3) for lid in topo.links}
+    active = frozenset(lid for lid in topo.links if rng.random() < 0.8)
+    for src in topo.nodes:
+        for dst in topo.nodes:
+            found = fraction_lex_shortest_path(topo, active, costs, src, dst)
+            path = shortest_paths(topo, active, src, costs, target=dst).paths.get(dst)
+            assert path == (found[1] if found else None)
+            if found:
+                assert sum(costs[topo.link_between(u, v)]
+                           for u, v in zip(path, path[1:])) == found[0]
 
 
 def fraction_all_simple_paths(topology: Topology, active: frozenset[int],

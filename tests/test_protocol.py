@@ -39,9 +39,8 @@ def deliver_all(nodes, transmissions, now):
     """Worklist delivery until the flood settles."""
     queue = list(transmissions)
     while queue:
-        tx = queue.pop(0)
-        queue.extend(nodes[tx.receiver].handle_message(now, tx.message,
-                                                       arrival_link=tx.link_id))
+        link, receiver, msg = queue.pop(0)
+        queue.extend(nodes[receiver].handle_message(now, msg, arrival_link=link))
 
 
 def samples_for(node, u_map, cap=1e7, window=0.2):
@@ -84,8 +83,8 @@ def test_underutilized_nontree_link_is_cut():
     hooks = RecordingHooks()
     node = build_node(topo, 1, hooks)
     out = node.sample_tick(0.2, samples_for(node, {1: 0.5, 5: 0.05}))
-    lscups = [tx for tx in out if tx.message.kind is MessageKind.LSCUP]
-    assert lscups and all(tx.message.links == (5,) for tx in lscups)
+    lscups = [msg for _link, _peer, msg in out if msg.kind is MessageKind.LSCUP]
+    assert lscups and all(msg.links == (5,) for msg in lscups)
     assert node.iface_state[5] is OperationalState.SLEEP
     assert node.iface_role[5] is InterfaceRole.MCST_CUT
     assert 5 not in node.active_view
@@ -105,7 +104,7 @@ def test_no_cut_while_any_interface_overutilized():
     topo = chain_topology()
     node = build_node(topo, 3)
     out = node.sample_tick(0.2, samples_for(node, {2: 0.9, 3: 0.05, 5: 0.05, 7: 0.05}))
-    kinds = {tx.message.kind for tx in out}
+    kinds = {msg.kind for _link, _peer, msg in out}
     assert MessageKind.LSCUP not in kinds
     assert node.iface_state[7] is not OperationalState.SLEEP
 
@@ -118,8 +117,8 @@ def test_lscup_adjacent_sleeps_and_refloods():
     msg = ControlMessage(MessageKind.LSCUP, origin=1, seq=0, links=(5,))
     out = node.handle_message(0.2, msg, arrival_link=2)
     assert node.iface_state[5] is OperationalState.SLEEP
-    assert out and all(tx.message is msg for tx in out)
-    assert all(tx.link_id != 2 for tx in out)
+    assert out and all(sent is msg for _link, _peer, sent in out)
+    assert all(link != 2 for link, _peer, _msg in out)
 
 
 def test_lscup_nonadjacent_updates_matrix_and_refloods():
@@ -177,13 +176,13 @@ def test_graft_escalates_row_by_row_then_unresolved():
     rows_seen = []
     for tick in range(1, 4):
         out = node.sample_tick(0.2 * tick, congested)
-        lsgups = [tx.message for tx in out if tx.message.kind is MessageKind.LSGUP]
+        lsgups = [msg for _link, _peer, msg in out if msg.kind is MessageKind.LSGUP]
         assert lsgups
         rows_seen.append(lsgups[0].links)
     assert rows_seen == [(6,), (7,), (8,)]
 
     out = node.sample_tick(0.8, congested)
-    assert [tx for tx in out if tx.message.kind is MessageKind.LSGUP] == []
+    assert [msg for _link, _peer, msg in out if msg.kind is MessageKind.LSGUP] == []
     assert hooks.of_kind("CONGESTION_UNRESOLVED")
 
 
@@ -217,7 +216,7 @@ def test_safeguard_blocks_recut_until_expiry():
     assert node.sample_tick(0.4, quiet) == []  # safeguarded
     assert node.iface_state[5] is OperationalState.IDLE
     out = node.sample_tick(2.4, quiet)  # 0.2 + 2.0 + 0.2 slack elapsed
-    assert any(tx.message.kind is MessageKind.LSCUP for tx in out)
+    assert any(msg.kind is MessageKind.LSCUP for _link, _peer, msg in out)
     assert node.iface_state[5] is OperationalState.SLEEP
 
 
@@ -232,7 +231,7 @@ def test_next_safeguard_expiry_is_the_first_tick_that_may_recut():
     assert 0.4 < expiry < node.safeguard[5]
     assert node.sample_tick(math.nextafter(expiry, 0.0), quiet) == []
     out = node.sample_tick(expiry, quiet)
-    assert any(tx.message.kind is MessageKind.LSCUP for tx in out)
+    assert any(msg.kind is MessageKind.LSCUP for _link, _peer, msg in out)
     assert node.next_safeguard_expiry(expiry) == math.inf
 
 
@@ -249,7 +248,7 @@ def test_routing_memo_keeps_current_and_previous_view(monkeypatch):
     monkeypatch.setattr(gospf.protocol, "shortest_paths", counted)
 
     def check_table():
-        fresh = original(topo, frozenset(node.active_view), 1, node.ref_bandwidth)
+        fresh = original(topo, frozenset(node.active_view), 1, node.costs)
         assert node.routing_table().paths == fresh.paths
         assert len(node._route_memo) <= 2
 
@@ -260,7 +259,7 @@ def test_routing_memo_keeps_current_and_previous_view(monkeypatch):
     assert 5 in node.active_view
     check_table()
     out = node.sample_tick(2.4, samples_for(node, {1: 0.5, 5: 0.0}))  # cut 5 again
-    assert any(tx.message.kind is MessageKind.LSCUP for tx in out)
+    assert any(msg.kind is MessageKind.LSCUP for _link, _peer, msg in out)
     views_computed = len(calls)
     check_table()
     assert len(calls) == views_computed  # the view before the graft is memoised
@@ -303,7 +302,7 @@ def test_flood_copies_on_all_but_arrival():
     msg = ControlMessage(MessageKind.LSA, origin=2, seq=0, links=(1,))
     out = node.flood(msg, arrival_link=1)
     assert len(out) == 2
-    assert {tx.receiver for tx in out} == {3, 4}
+    assert {peer for _link, peer, _msg in out} == {3, 4}
 
 
 def test_flood_reaches_every_node_exactly_once():
@@ -326,10 +325,9 @@ def test_flood_transmission_bound():
     out = nodes[1].sample_tick(0.2, samples_for(nodes[1], {1: 0.5, 4: 0.05, 5: 0.5}))
     queue = list(out)
     while queue:
-        tx = queue.pop(0)
-        transmissions.append(tx)
-        queue.extend(nodes[tx.receiver].handle_message(0.201, tx.message,
-                                                       arrival_link=tx.link_id))
+        link, receiver, msg = copy = queue.pop(0)
+        transmissions.append(copy)
+        queue.extend(nodes[receiver].handle_message(0.201, msg, arrival_link=link))
     active = sum(1 for n in nodes.values() for s in [n] if s) and len(topo.links)
     assert len(transmissions) <= 2 * active
 
@@ -347,7 +345,7 @@ def primed(node):
 def reflood_links(node, msg, arrival_link):
     out = node.handle_message(0.4, msg, arrival_link=arrival_link)
     assert node._awake_ports == fresh_awake_ports(node)
-    return {tx.link_id for tx in out}
+    return {link for link, _peer, _msg in out}
 
 
 def test_sleep_drops_the_awake_ports():
@@ -398,7 +396,7 @@ def test_nontree_failure_triggers_lsa_not_reset():
     cut_link_everywhere(nodes, 4, origin=1)
     nodes[1].notice_link_failure(4)
     out = nodes[1].sample_tick(0.4, samples_for(nodes[1], {1: 0.5}))
-    kinds = {tx.message.kind for tx in out}
+    kinds = {msg.kind for _link, _peer, msg in out}
     assert kinds == {MessageKind.LSA}
     assert nodes[1].reset_until is None
     assert not hooks.of_kind("RESET")

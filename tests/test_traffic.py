@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gospf.traffic
-from gospf.graph import compute_mcst, shortest_paths
+from gospf.graph import compute_mcst, ospf_costs, shortest_paths
 from gospf.traffic import (Flow, OutOfHorizon, TrafficError, TrafficMatrix,
                            allocate, generate_traffic, parse_traffic,
                            place_flows, write_traffic)
@@ -140,7 +141,7 @@ def run_allocate(topo, flow_specs, window=1.0, usable=None):
     caps = {lid: l.capacity for lid, l in topo.links.items()}
     flow_paths = []
     for fid, rate, src, dst in flow_specs:
-        table = shortest_paths(topo, active, src)
+        table = shortest_paths(topo, active, src, ospf_costs(topo))
         flow_paths.append((fid, rate, table.paths.get(dst)))
     return allocate(flow_paths, caps, usable, window, topo.link_between)
 
@@ -344,7 +345,7 @@ def test_generate_tree_peak_stays_under_capacity(garr48):
     loads = {}
     for flow in matrix.flows.values():
         peak = max(r for _, r in flow.schedule)
-        table = shortest_paths(garr48, tree.edges, flow.src)
+        table = shortest_paths(garr48, tree.edges, flow.src, ospf_costs(garr48))
         for u, v in zip(table.paths[flow.dst], table.paths[flow.dst][1:]):
             lid = garr48.link_between(u, v)
             loads[lid] = loads.get(lid, 0.0) + peak
@@ -357,6 +358,9 @@ def test_generate_rejects_bad_args(garr48):
         generate_traffic(garr48, "hourly", 17, 0.4, 1440.0)
     with pytest.raises(TrafficError):
         generate_traffic(garr48, "daily", 0, 0.4, 1440.0)
+    for peak_util in (0.0, -0.4, math.nan):
+        with pytest.raises(TrafficError, match="peak utilization must be positive"):
+            generate_traffic(garr48, "daily", 17, peak_util, 1440.0)
 
 
 def test_generate_rejects_too_many_flows():
@@ -370,7 +374,8 @@ def test_generate_rejects_too_many_flows():
 def full_scan_place_flows(topology, count, ref_bandwidth=1e8):
     """The greedy as it was before the lazy heap: rebuild every pair's link
     set and rescan all available pairs on every pick."""
-    tables = {n: shortest_paths(topology, frozenset(topology.links), n, ref_bandwidth)
+    costs = ospf_costs(topology, ref_bandwidth)
+    tables = {n: shortest_paths(topology, frozenset(topology.links), n, costs)
               for n in topology.node_ids}
     pair_paths = {(s, d): tables[s].paths[d]
                   for s in topology.node_ids for d in topology.node_ids if s != d}
