@@ -1,6 +1,5 @@
 """Interface operational states, per-interface energy accounting, and thresholds."""
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,6 +47,9 @@ class EnergyAccount:
 
     Energy is p_active*t_active + p_idle*t_idle + p_sleep*t_sleep plus e_c per
     sleep-to-idle transition; `switch_count` tracks those transitions.
+    `accrue` and `record_wakeup` charge the float fields directly. In a run,
+    an EnergyLedger keeps the exact sums and writes the float fields once,
+    when the run ends.
     """
 
     p_active: float
@@ -75,62 +77,173 @@ class EnergyAccount:
             self.t_sleep += duration
             self.energy_j += self.p_sleep * duration
 
-    def record_wakeup(self) -> None:
-        """Sleep-to-idle transition: bump the switch counter and pay e_c."""
+    def wake(self) -> None:
+        """Sleep-to-idle transition: bump the switch counter."""
         if self.state is not OperationalState.SLEEP:
             raise InvalidTransition(f"wakeup from {self.state.value}, expected sleep")
         self.switch_count += 1
-        self.energy_j += self.e_c
         self.state = OperationalState.IDLE
 
+    def record_wakeup(self) -> None:
+        """Sleep-to-idle transition that also pays e_c."""
+        self.wake()
+        self.energy_j += self.e_c
+
     def enter_sleep(self) -> None:
+        if self.state is OperationalState.SLEEP:
+            raise InvalidTransition("sleep from sleep, expected idle or active")
         self.state = OperationalState.SLEEP
 
 
-@dataclass
-class ChargePlan:
-    """One sampling window's state-time and energy increments per account,
-    computed once and applied to every window that repeats it.
+# Ledger sums are Python ints in units of 2**-1074, the smallest positive
+# float. Every finite float is a whole number of units, so each converts
+# exactly, integer sums are exact in any order, and a sum is rounded only
+# when it is read.
+UNIT_BITS = 1074
+ONE = 1 << UNIT_BITS  # one joule, or one second, in ledger units
 
-    `awake` holds (account, t_busy, p_active*t_busy, t_idle, p_idle*t_idle)
-    and `asleep` holds (account, window, p_sleep*window). Applying the plan
-    makes the same additions, in the same order, as the equivalent `accrue`
-    calls: `energy_j + e_busy + e_idle` adds left to right, whereas one
-    pre-summed `e_busy + e_idle` would round differently.
+
+def exact(x: float) -> int:
+    """`x` in ledger units, exactly; raises OverflowError on inf and
+    ValueError on NaN."""
+    n, d = x.as_integer_ratio()
+    return n << (UNIT_BITS + 1 - d.bit_length())
+
+
+class _Link:
+    """A link's per-window increments (energy, t_active, t_idle, t_sleep)
+    in ledger units, shared by both of its interfaces: `awake` at the
+    link's current busy time and `asleep`; and its wake cost `e_c`.
+    `awake_sums` adds up the awake increments of windows [0, since)."""
+
+    __slots__ = ("p_active", "p_idle", "awake", "asleep", "e_c", "since",
+                 "awake_sums", "interfaces")
+
+    def __init__(self, link, window: int, t_sample: float):
+        self.p_active, self.p_idle = link.p_active, link.p_idle
+        self.awake = (exact(link.p_idle * t_sample), 0, window, 0)
+        self.asleep = (exact(link.p_sleep * t_sample), 0, 0, window)
+        self.e_c = exact(link.e_c)
+        self.since = 0
+        self.awake_sums = (0, 0, 0, 0)
+        self.interfaces: list[_Interface] = []
+
+    def sums_at(self, asleep: bool, w: int) -> tuple[int, ...]:
+        """The awake or the asleep increments added up over windows [0, w)."""
+        if asleep:
+            energy, _, _, t_sleep = self.asleep
+            return (w * energy, 0, 0, w * t_sleep)
+        n = w - self.since
+        sums, awake = self.awake_sums, self.awake
+        return (sums[0] + n * awake[0], sums[1] + n * awake[1], sums[2] + n * awake[2], 0)
+
+
+class _Interface:
+    """An interface's sums over the periods it has finished, and `start`,
+    its link's `sums_at` in its current state when that period began."""
+
+    __slots__ = ("account", "link", "sums", "start")
+
+    def __init__(self, account: EnergyAccount, link: _Link):
+        self.account = account
+        self.link = link
+        self.sums = (0, 0, 0, 0)
+        self.start = (0, 0, 0, 0)
+
+    def sums_at(self, w: int) -> tuple[int, ...]:
+        """Energy, t_active, t_idle and t_sleep over windows [0, w)."""
+        now = self.link.sums_at(self.account.state is OperationalState.SLEEP, w)
+        return tuple(s + a - b for s, a, b in zip(self.sums, now, self.start))
+
+
+class EnergyLedger:
+    """Exact energy and state time of every interface, charged per change.
+
+    An awake interface gains p_active*t_busy + p_idle*(t_sample - t_busy)
+    per window, t_busy being its link's busy time; an asleep one gains
+    p_sleep*t_sample; each product is the float the per-window formula
+    computes, converted exactly. A link's increments change only when its
+    busy time does, converted once for both interfaces; an interface
+    switches between its link's two only when it sleeps or wakes. The
+    network total gains the sum of the increments in force, `rate`, in one
+    integer add per window.
     """
 
-    awake: list[tuple[EnergyAccount, float, float, float, float]]
-    asleep: list[tuple[EnergyAccount, float, float]]
+    def __init__(self, links, t_sample: float):
+        """`links`: graph.Link-like records; both interfaces of a link draw
+        the link's power ratings. Every interface starts idle."""
+        self.t_sample = t_sample
+        window = exact(t_sample)
+        self.windows = 0  # windows charged so far
+        self.total = 0  # network energy so far
+        self.rate = 0  # network energy per window under the increments in force
+        self.accounts: dict[tuple[int, int], EnergyAccount] = {}  # (link, node)
+        self._links: dict[int, _Link] = {}
+        self._interfaces: dict[tuple[int, int], _Interface] = {}
+        for link in links:
+            charges = self._links[link.link_id] = _Link(link, window, t_sample)
+            for side in link.endpoints():
+                acct = self.accounts[(link.link_id, side)] = EnergyAccount(
+                    p_active=link.p_active, p_idle=link.p_idle,
+                    p_sleep=link.p_sleep, e_c=link.e_c)
+                iface = self._interfaces[(link.link_id, side)] = _Interface(acct, charges)
+                charges.interfaces.append(iface)
+                self.rate += charges.awake[0]
 
-    def apply(self) -> None:
-        for acct, t_busy, e_busy, t_idle, e_idle in self.awake:
-            acct.t_active += t_busy
-            acct.t_idle += t_idle
-            acct.energy_j = acct.energy_j + e_busy + e_idle
-        for acct, window, e_sleep in self.asleep:
-            acct.t_sleep += window
-            acct.energy_j += e_sleep
+    def set_busy(self, lid: int, t_busy: float) -> None:
+        """From the next window charged on, link `lid` is busy for `t_busy`
+        seconds of each window and idle for the rest."""
+        link = self._links[lid]
+        t_idle = self.t_sample - t_busy
+        if t_busy < 0 or t_idle < 0:
+            raise NegativeDuration(f"busy time {t_busy} outside [0, {self.t_sample}]")
+        link.awake_sums = link.sums_at(False, self.windows)
+        link.since = self.windows
+        old = link.awake
+        new = link.awake = (exact(link.p_active * t_busy) + exact(link.p_idle * t_idle),
+                            exact(t_busy), exact(t_idle), 0)
+        for iface in link.interfaces:
+            if iface.account.state is not OperationalState.SLEEP:
+                self.rate += new[0] - old[0]
 
+    def _switch(self, iface: _Interface, asleep: bool) -> None:
+        """Close the interface's current period and open one in the other
+        state; the account rejects a switch to the state it is in."""
+        link, w = iface.link, self.windows
+        sums = iface.sums_at(w)
+        if asleep:
+            iface.account.enter_sleep()
+            self.rate += link.asleep[0] - link.awake[0]
+        else:
+            iface.account.wake()
+            self.rate += link.awake[0] - link.asleep[0]
+        iface.sums = sums
+        iface.start = link.sums_at(asleep, w)
 
-def plan_window(charges: Iterable[tuple[EnergyAccount, float]], window: float) -> ChargePlan:
-    """Plan one window for (account, t_busy) pairs under each account's
-    current state: `window` seconds asleep, or `t_busy` active plus the
-    rest idle."""
-    if window < 0:
-        raise NegativeDuration(f"duration {window} < 0")
-    awake = []
-    asleep = []
-    for acct, t_busy in charges:
-        if acct.state is OperationalState.SLEEP:
-            asleep.append((acct, window, acct.p_sleep * window))
-            continue
-        if t_busy < 0:
-            raise NegativeDuration(f"duration {t_busy} < 0")
-        t_idle = window - t_busy
-        if t_idle < 0:
-            raise NegativeDuration(f"duration {t_idle} < 0")
-        awake.append((acct, t_busy, acct.p_active * t_busy, t_idle, acct.p_idle * t_idle))
-    return ChargePlan(awake, asleep)
+    def sleep(self, key: tuple[int, int]) -> None:
+        """The (link, node) interface sleeps from the next window charged on."""
+        self._switch(self._interfaces[key], True)
+
+    def wake(self, key: tuple[int, int]) -> None:
+        """The (link, node) interface wakes from the next window charged on;
+        its wake cost lands in the last window charged."""
+        iface = self._interfaces[key]
+        self._switch(iface, False)
+        e_c = iface.link.e_c
+        iface.sums = (iface.sums[0] + e_c, *iface.sums[1:])
+        self.total += e_c
+
+    def charge(self) -> None:
+        """Charge one window under the increments in force."""
+        self.windows += 1
+        self.total += self.rate
+
+    def close(self) -> None:
+        """Write every interface's sums, each rounded once, to its account."""
+        for iface in self._interfaces.values():
+            acct = iface.account
+            acct.energy_j, acct.t_active, acct.t_idle, acct.t_sleep = (
+                s / ONE for s in iface.sums_at(self.windows))
 
 
 def classify(u_r: float, gamma_u: float, gamma_l: float) -> UtilizationClass:

@@ -12,10 +12,13 @@ byte-identical metrics and event logs.
 import hashlib
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .config import ConfigError, ScenarioConfig
-from .energy import EnergyAccount, OperationalState, plan_window, total_network_energy
+from .energy import ONE, EnergyAccount, EnergyLedger, OperationalState, exact
+# Re-exported: profiling tools look the network-energy sum up on this module.
+from .energy import total_network_energy  # noqa: F401
 from .graph import (DisconnectedTopology, RoutingTable, SpanningTree, Topology,
                     bfs_hop_counts, is_connected, ospf_costs, shortest_paths,
                     write_topology)
@@ -199,7 +202,7 @@ class AlwaysOn:
 
     def fail(self, lid: int) -> None:
         for side in self.run.topology.links[lid].endpoints():
-            self.run.accounts[(lid, side)].enter_sleep()
+            self.run.ledger.sleep((lid, side))
         self.tables.clear()
 
     def start_window(self, w: int, t0: float) -> dict[int, float]:
@@ -257,11 +260,11 @@ class GospfController(ProtocolHooks):
             self.run.congestion_unresolved += 1
 
     def interface_woke(self, t, node, link):
-        self.run.accounts[(link, node)].record_wakeup()
+        self.run.ledger.wake((link, node))
         self.run.active = None
 
     def interface_slept(self, t, node, link):
-        self.run.accounts[(link, node)].enter_sleep()
+        self.run.ledger.sleep((link, node))
         self.run.active = None
 
     def spanning_tree(self, topology: Topology, exclude: frozenset[int]) -> SpanningTree:
@@ -381,17 +384,25 @@ class _Run:
                 "control_latency too large for t_sample: floods must settle "
                 "within one sampling window")
 
-        self.events: list[str] = []
-        self.accounts: dict[tuple[int, int], EnergyAccount] = {}
+        ts = self.cfg.t_sample
+        self.n_windows = int(math.floor(self.cfg.horizon / ts + 1e-9))
+        # The ledger converts each per-window increment exactly and rounds
+        # the network total once per window: every increment must be finite,
+        # and the total must stay a float. The bound charges each interface
+        # all three powers for t_sample plus one wake in every window.
+        most = 0
         for link in self.topology.links.values():
-            for side in link.endpoints():
-                self.accounts[(link.link_id, side)] = EnergyAccount(
-                    p_active=link.p_active, p_idle=link.p_idle,
-                    p_sleep=link.p_sleep, e_c=link.e_c)
-        # (link id, capacity, account at a, account at b), in link-id order.
-        self.link_accounts = [
-            (lid, link.capacity, self.accounts[(lid, link.a)], self.accounts[(lid, link.b)])
-            for lid, link in self.topology.links.items()]
+            increments = (link.p_active * ts, link.p_idle * ts, link.p_sleep * ts, link.e_c)
+            if not all(math.isfinite(x) for x in increments):
+                raise ConfigError(f"link {link.link_id}: energy per window is not finite "
+                                  f"at t_sample={ts!r}")
+            most += 2 * sum(exact(x) for x in increments)
+        if self.n_windows * most > exact(sys.float_info.max):
+            raise ConfigError("network energy over the horizon may exceed the largest float")
+
+        self.events: list[str] = []
+        self.ledger = EnergyLedger(self.topology.links.values(), ts)
+        self.accounts: dict[tuple[int, int], EnergyAccount] = self.ledger.accounts
 
         # OSPF cost per link, shared by every routing table of the run.
         self.costs = ospf_costs(self.topology, self.cfg.ref_bandwidth)
@@ -414,20 +425,23 @@ class _Run:
     def run(self) -> RunResult:
         """Step every window. Per-window results whose inputs did not change
         since the previous window (demands, allocation, link samples, busy
-        times, charge plans, connectivity verdicts) are reused, not
-        recomputed; the float operations that reach the outputs run in the
-        same order either way.
+        times, connectivity verdicts) are reused, not recomputed.
+
+        Energy goes through the ledger: a link's increments are converted
+        only in windows where its busy time changes, an interface's only
+        when it sleeps or wakes, and each window adds the network's rate.
 
         A window that repeats a steady one is replayed: the previous window
-        recorded no events, applied no failure and had no control bits in or
-        out; this window applies no failure, gets no control bits, has the
-        same rates, and ends before the controller's next action time. Its
-        tick would repeat the previous tick exactly, so it is not run; the
-        window's energy comes from the previous window's charge plan."""
+        applied no failure and had no control bits in; this window applies
+        no failure, has the same rates, and ends before the controller's
+        next action time, which any event, send or failure since the last
+        tick sets to -inf. Its tick would repeat the previous tick exactly,
+        so it is not run, and the window charges the previous window's
+        increments."""
         cfg = self.cfg
         ts = cfg.t_sample
         ctrl = self.controller
-        n_windows = int(math.floor(cfg.horizon / ts + 1e-9))
+        ledger = self.ledger
         metrics = MetricsSeries(mode=cfg.mode, fingerprint=self.scenario.fingerprint(),
                                 t_sample=ts, horizon=cfg.horizon)
         states: list[WindowState] | None = [] if self.capture_states else None
@@ -437,22 +451,21 @@ class _Run:
         traffic = self.scenario.traffic
         capacities = {lid: link.capacity for lid, link in self.topology.links.items()}
         all_links = frozenset(self.topology.links)
-        cumulative_energy = 0.0
+        previous_total = 0
 
         # Inputs and results of the previous window, reused while unchanged.
         prev_alloc_key = None
         alloc = None
         prev_link_bits = None
         prev_rates = None
-        demands = traffic.window_demands(n_windows, ts, cfg.tcp_burst_frac)
-        plan_busy = plan_usable = None
+        demands = traffic.window_demands(self.n_windows, ts, cfg.tcp_burst_frac)
         steady = False
         samples: dict[int, float] = {}  # per-link utilization
-        busy: list[float] = []
+        busy = dict.fromkeys(capacities, 0.0)  # the ledger starts every link idle
         surviving_connected = is_connected(self.topology, all_links)
         checked_active = None
 
-        for w in range(n_windows):
+        for w in range(self.n_windows):
             t0 = w * ts
             t1 = t0 + ts
             events_before = len(self.events)
@@ -473,9 +486,9 @@ class _Run:
             ctrl_bits = ctrl.start_window(w, t0)
             rates = next(demands)
 
-            if (steady and not failed_this_window and not ctrl_bits
-                    and rates == prev_rates and t1 < ctrl.next_action_time()):
-                plan.apply()
+            if (steady and not failed_this_window and rates == prev_rates
+                    and t1 < ctrl.next_action_time()):
+                ledger.charge()
                 ctrl_bytes = 0
             else:
                 # Demands and fluid allocation on the currently believed routes.
@@ -500,22 +513,18 @@ class _Run:
                 for lid, bits in ctrl_bits.items():
                     link_bits[lid] = link_bits.get(lid, 0.0) + bits
                 if link_bits != prev_link_bits:
-                    busy = [min(ts, link_bits.get(lid, 0.0) / cap)
-                            for lid, cap, _acct_a, _acct_b in self.link_accounts]
-                    samples = {lid: link_bits.get(lid, 0.0) / (cap * ts)
-                               for lid, cap, _acct_a, _acct_b in self.link_accounts}
+                    samples = {}
+                    for lid, cap in capacities.items():
+                        bits = link_bits.get(lid, 0.0)
+                        samples[lid] = bits / (cap * ts)
+                        t_busy = min(ts, bits / cap)
+                        if t_busy != busy[lid]:
+                            busy[lid] = t_busy
+                            ledger.set_busy(lid, t_busy)
                     prev_link_bits = link_bits
 
                 # Energy for this window under the states in force during it.
-                # Every sleep, wake or failure clears self.active, so the
-                # same usable set means the same interface states.
-                if busy is not plan_busy or usable is not plan_usable:
-                    plan = plan_window(
-                        ((acct, t_busy)
-                         for (_lid, _cap, acct_a, acct_b), t_busy in zip(self.link_accounts, busy)
-                         for acct in (acct_a, acct_b)), ts)
-                    plan_busy, plan_usable = busy, usable
-                plan.apply()
+                ledger.charge()
 
                 # Protocol checks at the window end, floods drained.
                 ctrl_bytes = ctrl.tick(t1, samples)
@@ -532,16 +541,14 @@ class _Run:
                 quiet = (not ctrl_bytes and len(self.events) == events_before
                          and not failed_this_window and not ctrl.resetting())
 
-            # Wake transition costs charged by the ticks land in this window.
-            new_total = total_network_energy(self.accounts.values())
-            window_energy = new_total - cumulative_energy
-            cumulative_energy = new_total
-
+            # Wake costs charged by the tick land in this window. Both
+            # energies are exact sums, each rounded once.
+            total = ledger.total
             metrics.times.append(t0)
             metrics.active_links.append(len(active))
-            metrics.power_w.append(window_energy / ts)
+            metrics.power_w.append((total - previous_total) / ONE / ts)
             metrics.throughput_bps.append(alloc.delivered_bits / ts)
-            metrics.energy_j.append(cumulative_energy)
+            metrics.energy_j.append(total / ONE)
             metrics.ctrl_bytes.append(ctrl_bytes)
             metrics.dropped_bits.append(alloc.dropped_bits)
             metrics.offered_bits_total += alloc.offered_bits
@@ -549,15 +556,18 @@ class _Run:
             metrics.dropped_bits_total += alloc.dropped_bits
             metrics.ctrl_bytes_total += ctrl_bytes
             metrics.quiesced.append(quiet)
+            previous_total = total
 
             if states is not None:
                 states.append(WindowState(active=active, flows={
                     fid: (path, rate) for fid, rate, path in flow_paths}))
 
-            steady = (len(self.events) == events_before and not failed_this_window
-                      and not ctrl_bits and ctrl_bytes == 0)
+            # A window with control bits in was charged for them; the next
+            # window, without them, charges different increments.
+            steady = not failed_this_window and not ctrl_bits
             prev_rates = rates
 
+        ledger.close()
         metrics.congestion_unresolved = self.congestion_unresolved
         return RunResult(metrics=metrics, events=self.events, states=states,
                          accounts=self.accounts, flood_copies=ctrl.flood_copies)

@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .energy import (InterfaceRole, OperationalState, UtilizationClass, classify,
-                     validate_thresholds)
+from .energy import InterfaceRole, OperationalState, validate_thresholds
 from .graph import (RoutingTable, SpanningTree, Topology, bfs_hop_counts,
                     compute_mcst, ospf_costs, shortest_paths)
 
@@ -136,9 +135,6 @@ class GospfNode:
         self._row_of = {lid: min(hops.get(link.a, math.inf), hops.get(link.b, math.inf))
                         for lid, link in self.topology.links.items()}
 
-    def _hop_row(self, link_id: int) -> int:
-        return self._row_of[link_id]
-
     def _invalidate_routing(self) -> None:
         self._routing = None
 
@@ -173,8 +169,10 @@ class GospfNode:
 
     def flood(self, message: ControlMessage, arrival_link: int | None = None):
         """(link, peer, message) for every awake interface except the arrival one."""
-        return [(lid, peer, message)
-                for lid, peer in self.awake_ports() if lid != arrival_link]
+        ports = self._awake_ports
+        if ports is None:
+            ports = self.awake_ports()
+        return [(lid, peer, message) for lid, peer in ports if lid != arrival_link]
 
     def _sleep_interface(self, now: float, link_id: int) -> None:
         if self.iface_state.get(link_id) in (OperationalState.IDLE, OperationalState.ACTIVE):
@@ -211,24 +209,31 @@ class GospfNode:
         if self.reset_until is not None:
             return out
 
-        classes: dict[int, UtilizationClass] = {}
+        # The thresholds split samples as `energy.classify` does: above
+        # gamma_u is over, below gamma_l is under, anything else (NaN too)
+        # is normal.
+        gamma_u, gamma_l = self.gamma_u, self.gamma_l
+        over = None
+        under = []
         for lid, _peer in self.awake_ports():
             if lid not in samples:
                 continue
-            classes[lid] = classify(samples[lid], self.gamma_u, self.gamma_l)
+            u_r = samples[lid]
+            if u_r > gamma_u:
+                if over is None:
+                    over = lid
+            elif u_r < gamma_l:
+                under.append(lid)
             if (self.iface_role[lid] is InterfaceRole.MCST_GRAFT
                     and self.safeguard.get(lid, -math.inf) - _EPS <= now):
                 self.iface_role[lid] = InterfaceRole.MCST_UNCUT
 
-        over = [l for l, c in classes.items() if c is UtilizationClass.OVERUTILIZED]
-        if over:
-            out.extend(self._graft_step(now, over[0]))
+        if over is not None:
+            out.extend(self._graft_step(now, over))
             return out
 
         self.scan_floor = 0
-        for lid, cls in classes.items():
-            if cls is not UtilizationClass.UNDERUTILIZED:
-                continue
+        for lid in under:
             if lid in self.mcst.edges:
                 continue
             if self.safeguard.get(lid, -math.inf) - _EPS > now:
@@ -245,13 +250,13 @@ class GospfNode:
 
     def _mark_cut(self, link_id: int) -> None:
         self.active_view.discard(link_id)
-        row = self._hop_row(link_id)
+        row = self._row_of[link_id]
         cut = self.matrix.get(row)
         if cut is None:
             self.matrix[row] = {link_id}
         else:
             cut.add(link_id)
-        self._invalidate_routing()
+        self._routing = None
 
     def _graft_step(self, now: float, congested_link: int):
         """Restore the links in the first non-empty matrix row at or past the
@@ -315,7 +320,8 @@ class GospfNode:
             if self.safeguard.get(lid, -math.inf) - _EPS > now:
                 pass  # stale cut superseded by a graft; forward but ignore
             else:
-                self._sleep_interface(now, lid)
+                if lid in self.iface_state:
+                    self._sleep_interface(now, lid)
                 self._mark_cut(lid)
         elif kind is MessageKind.LSGUP:
             self._apply_graft(now, links, msg.expiry)

@@ -341,6 +341,32 @@ def test_run_rejects_non_finite_or_negative_inputs(tmp_path, capsys, topo_text,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("power, config_text, message", [
+    pytest.param("1e308", "horizon=4.0\nt_sample=2.0\n", "energy per window is not finite",
+                 id="increment-inf"),
+    pytest.param("1e306", "t_sample=1.0\n", "may exceed the largest float",
+                 id="total-too-large"),
+])
+def test_run_rejects_energy_a_float_cannot_hold(tmp_path, capsys, power, config_text,
+                                                message):
+    # 1e308 W for 2 s is inf joules per window; 1e306 W per window is finite,
+    # but a day of it on eight interfaces is not.
+    topo = tmp_path / "net.topo"
+    topo.write_text(SMALL_TOPO.replace("link 1 1 2 10000000",
+                                       f"link 1 1 2 10000000 {power} 0.8 0.016 0"))
+    traffic = tmp_path / "flows.traffic"
+    traffic.write_text(SMALL_TRAFFIC)
+    config = tmp_path / "run.conf"
+    config.write_text(config_text)
+    code = run_cli("run", "--topology", topo, "--traffic", traffic,
+                   "--config", config, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("gospf: error:")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_gen_traffic_rejects_nan_peak_util(small_files, capsys):
     topo, _traffic, _config = small_files
     code = run_cli("gen-traffic", "--kind", "daily", "--topology", topo,

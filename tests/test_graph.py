@@ -44,7 +44,7 @@ def hop_rows(topology, node):
     to the link's nearer endpoint."""
     gospf_node = GospfNode(node, topology, gamma_u=0.8, gamma_l=0.2,
                            safeguard_interval=2.0, mcst_reset_timer=5.0)
-    return {lid: gospf_node._hop_row(lid) for lid in topology.links}
+    return {lid: gospf_node._row_of[lid] for lid in topology.links}
 
 
 def brute_force_paths(topology, active, source, ref_bandwidth=1e8):

@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gospf.protocol
-from gospf.energy import InterfaceRole, OperationalState
+from gospf.energy import InterfaceRole, OperationalState, UtilizationClass, classify
 from gospf.graph import is_connected, shortest_paths
 from gospf.protocol import (ControlMessage, GospfNode, MessageKind,
                             ProtocolHooks)
@@ -90,6 +92,33 @@ def test_underutilized_nontree_link_is_cut():
     assert 5 not in node.active_view
     assert node.matrix[0] == {5}
     assert [e[2] for e in hooks.events] == ["CUT", "SLEEP"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(0.8, 0.2), (1.0, 0.0), (0.3, 0.1)]), st.data())
+def test_tick_splits_samples_as_classify_does(gammas, data):
+    # Node 3 of the chain owns tree links 2 and 3 and chords 5 and 7. Each
+    # sample sits on, just past or just short of a threshold, or is NaN.
+    # Any over link makes the tick graft from the first one (with nothing
+    # cut, that is CONGESTION_UNRESOLVED); otherwise it cuts every under
+    # chord in port order.
+    gamma_u, gamma_l = gammas
+    values = [math.nan]
+    for gamma in gammas:
+        values += [gamma, math.nextafter(gamma, -math.inf), math.nextafter(gamma, math.inf)]
+    node = build_node(chain_topology(), 3, gamma_u=gamma_u, gamma_l=gamma_l)
+    samples = {lid: data.draw(st.sampled_from(values)) for lid in node.iface_state}
+    classes = [(lid, classify(samples[lid], gamma_u, gamma_l))
+               for lid, _peer in node.awake_ports()]
+    node.sample_tick(0.2, samples)
+    over = [lid for lid, cls in classes if cls is UtilizationClass.OVERUTILIZED]
+    if over:
+        expected = [("CONGESTION_UNRESOLVED", over[0])]
+    else:
+        expected = [("CUT", lid) for lid, cls in classes
+                    if cls is UtilizationClass.UNDERUTILIZED and lid not in node.mcst.edges]
+    assert [(kind, lid) for _t, _n, kind, lid, _seq in node.hooks.events
+            if kind != "SLEEP"] == expected
 
 
 def test_mcst_link_never_cut():
