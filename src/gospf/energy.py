@@ -114,10 +114,13 @@ class _Link:
     """A link's per-window increments (energy, t_active, t_idle, t_sleep)
     in ledger units, shared by both of its interfaces: `awake` at the
     link's current busy time and `asleep`; and its wake cost `e_c`.
-    `awake_sums` adds up the awake increments of windows [0, since)."""
+    `awake_sums` adds up the awake increments of windows [0, since).
+    `recent` holds (busy time, awake) for the last three busy times set,
+    the most recent first: the midday oscillation returns a link to a busy
+    time it had one or two changes before."""
 
     __slots__ = ("p_active", "p_idle", "awake", "asleep", "e_c", "since",
-                 "awake_sums", "interfaces")
+                 "awake_sums", "interfaces", "recent")
 
     def __init__(self, link, window: int, t_sample: float):
         self.p_active, self.p_idle = link.p_active, link.p_idle
@@ -127,6 +130,7 @@ class _Link:
         self.since = 0
         self.awake_sums = (0, 0, 0, 0)
         self.interfaces: list[_Interface] = []
+        self.recent: tuple[tuple[float, tuple[int, ...]], ...] = ()
 
     def sums_at(self, asleep: bool, w: int) -> tuple[int, ...]:
         """The awake or the asleep increments added up over windows [0, w)."""
@@ -194,14 +198,23 @@ class EnergyLedger:
         """From the next window charged on, link `lid` is busy for `t_busy`
         seconds of each window and idle for the rest."""
         link = self._links[lid]
-        t_idle = self.t_sample - t_busy
-        if t_busy < 0 or t_idle < 0:
-            raise NegativeDuration(f"busy time {t_busy} outside [0, {self.t_sample}]")
+        recent = link.recent
+        for used in recent:
+            if used[0] == t_busy:
+                if used is not recent[0]:
+                    link.recent = (used, *[other for other in recent if other is not used])
+                break
+        else:
+            t_idle = self.t_sample - t_busy
+            if t_busy < 0 or t_idle < 0:
+                raise NegativeDuration(f"busy time {t_busy} outside [0, {self.t_sample}]")
+            used = (t_busy, (exact(link.p_active * t_busy) + exact(link.p_idle * t_idle),
+                             exact(t_busy), exact(t_idle), 0))
+            link.recent = (used, *recent[:2])
         link.awake_sums = link.sums_at(False, self.windows)
         link.since = self.windows
         old = link.awake
-        new = link.awake = (exact(link.p_active * t_busy) + exact(link.p_idle * t_idle),
-                            exact(t_busy), exact(t_idle), 0)
+        new = link.awake = used[1]
         for iface in link.interfaces:
             if iface.account.state is not OperationalState.SLEEP:
                 self.rate += new[0] - old[0]

@@ -13,16 +13,19 @@ import hashlib
 import heapq
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .config import ConfigError, ScenarioConfig
-from .energy import ONE, EnergyAccount, EnergyLedger, OperationalState, exact
+from .energy import (ONE, EnergyAccount, EnergyLedger, InterfaceRole, OperationalState,
+                     exact)
 # Re-exported: profiling tools look the network-energy sum up on this module.
 from .energy import total_network_energy  # noqa: F401
 from .graph import (DisconnectedTopology, RoutingTable, SpanningTree, Topology,
                     bfs_hop_counts, is_connected, ospf_costs, shortest_paths,
                     write_topology)
-from .protocol import GospfNode, ProtocolHooks
+from .protocol import _EPS, GospfNode, ProtocolHooks
 from .traffic import TrafficMatrix, allocate, write_traffic
 
 MODE_GOSPF = "gospf"
@@ -230,10 +233,43 @@ class AlwaysOn:
         return math.inf
 
 
+class _TickEntry:
+    """What one memoised tick did, relative to its start: the effects in
+    order, as (instant index, node, link, event, seq offset), where the
+    event is `_SLEPT` or `_WOKE` for an interface hook and the offset, None
+    for seq -1, is from the node's `_seq` at the tick start; per changed
+    node (index, record after the tick, seq advance, links grafted); the
+    links that carried copies and how many each; and the id of the state
+    the tick leaves."""
+
+    __slots__ = ("effects", "deltas", "links", "copies", "counter", "post")
+
+    def __init__(self, effects, deltas, links, copies, post):
+        self.effects = effects
+        self.deltas = deltas
+        self.links = links
+        self.copies = copies
+        self.counter = sum(copies)
+        self.post = post
+
+
+_SLEPT = object()
+_WOKE = object()
+_NAME = attrgetter("_name_")
+_STATES = OperationalState.__members__
+_ROLES = InterfaceRole.__members__
+
+
 class GospfController(ProtocolHooks):
     """GOSPF: one GospfNode per router, ticked in ascending node id. Acts as
     the nodes' hooks and delivers their floods in (arrival, origin, seq,
-    receiver) order; floods settle within the window that sends them."""
+    receiver) order; floods settle within the window that sends them.
+
+    Ticks are memoised on (state id, safeguard signature, sample classes);
+    see `tick`."""
+
+    # The tick memo's type: anything with `get` and item assignment.
+    memo_factory = dict
 
     def __init__(self, run: "_Run"):
         self.run = run
@@ -248,24 +284,34 @@ class GospfController(ProtocolHooks):
             safeguard_interval=cfg.safeguard, mcst_reset_timer=cfg.mcst_reset_timer,
             t_sample=cfg.t_sample, costs=run.costs, hooks=self)
             for nid in run.topology.node_ids}
+        self._node_list = list(self.nodes.values())
         # Message copies each link carried since the last window start, and
         # over the whole run.
         self.window_copies: dict[int, int] = {}
         self.flood_copies: dict[int, int] = {}
+        self._forget_states()
+        # The effects of the tick being recorded, else None.
+        self._effects: list | None = None
 
     def record_event(self, t, node, event, link, seq):
         self.run.events.append(f"t={t:.6f} node={node} event={event} link={link} seq={seq}")
         self.next_action = -math.inf
         if event == "CONGESTION_UNRESOLVED":
             self.run.congestion_unresolved += 1
+        if self._effects is not None:
+            self._effects.append((t, node, link, event, seq))
 
     def interface_woke(self, t, node, link):
         self.run.ledger.wake((link, node))
         self.run.active = None
+        if self._effects is not None:
+            self._effects.append((t, node, link, _WOKE, -1))
 
     def interface_slept(self, t, node, link):
         self.run.ledger.sleep((link, node))
         self.run.active = None
+        if self._effects is not None:
+            self._effects.append((t, node, link, _SLEPT, -1))
 
     def spanning_tree(self, topology: Topology, exclude: frozenset[int]) -> SpanningTree:
         tree = self.trees.get(exclude)
@@ -277,11 +323,27 @@ class GospfController(ProtocolHooks):
         for side in self.run.topology.links[lid].endpoints():
             self.nodes[side].notice_link_failure(lid)
         self.next_action = -math.inf
+        # Failed links only accumulate, and every record holds its node's,
+        # so no state recorded so far can recur.
+        self._forget_states()
+
+    def _forget_states(self) -> None:
+        self.memo = self.memo_factory()
+        # Known controller states: a tuple of node records (see `_record`)
+        # per state id, and the id of each. `state_id` is the current one,
+        # None when unknown.
+        self.states: list[tuple] = []
+        self.state_ids: dict[tuple, int] = {}
+        self.state_id: int | None = None
+        # Interned record parts, so that states and nodes share them, and
+        # the view last interned.
+        self.canon: dict = {}
+        self._last_view: frozenset[int] | None = None
 
     def start_window(self, w: int, t0: float) -> dict[int, float]:
         """Finish the tree resets that are due; returns, and clears, the
         control bits the previous window's floods put on each link."""
-        for node in self.nodes.values():
+        for node in self._node_list:
             if node.reset_until is None:
                 continue
             try:
@@ -306,10 +368,45 @@ class GospfController(ProtocolHooks):
 
     def tick(self, t1: float, samples: dict[int, float]) -> int:
         """Periodic checks, then drain the resulting floods; returns the
-        control bytes sent. Each copy in flight is a heap entry (arrival,
-        origin, seq, receiver, counter, link, message); the counter numbers
-        the tick's copies and keeps comparisons off the link and message."""
+        control bytes sent.
+
+        While no node is resetting or holds a pending failure, a tick is a
+        function of the controller state, of where each safeguard expiry
+        falls among the tick's comparison instants and of each sample's
+        class. Those three are the memo key; a repeated key replays the
+        recorded effects instead of ticking the nodes."""
         self.next_action = math.inf
+        nodes = self._node_list
+        if any(node.reset_until is not None or node.pending_failures for node in nodes):
+            self.state_id = None
+            return self._finish(t1, self._drain(t1, samples))
+        if self.state_id is None:
+            self.state_id = self._intern_state(tuple(self._record(node) for node in nodes))
+        holders = self._safeguard_holders()
+        key = (self.state_id, self._sign_safeguards(t1, holders), self._classes(samples))
+        entry = self.memo.get(key)
+        if entry is None:
+            entry = self.memo[key] = self._record_tick(t1, samples)
+        else:
+            self._replay(entry, t1, len(holders) == 1)
+        self.state_id = entry.post
+        return self._finish(t1, entry.counter)
+
+    def _instants(self, t1: float) -> list[float]:
+        """Every time a tick at t1 compares: t1, and each hop's arrival,
+        built by the adds `_drain` makes. No copy travels more hops than
+        there are nodes."""
+        latency = self.run.cfg.control_latency
+        instants = [t1]
+        for _ in self._node_list:
+            instants.append(instants[-1] + latency)
+        return instants
+
+    def _drain(self, t1: float, samples: dict[int, float]) -> int:
+        """Tick every node, then deliver the floods; returns the copies
+        sent. Each copy in flight is a heap entry (arrival, origin, seq,
+        receiver, counter, link, message); the counter numbers the tick's
+        copies and keeps comparisons off the link and message."""
         nodes = self.nodes
         latency = self.run.cfg.control_latency
         copies = self.window_copies
@@ -318,9 +415,9 @@ class GospfController(ProtocolHooks):
         counter = 0
         # The last tick drained every flood, so no copy of an older message
         # can arrive: dedup keys are needed only within one tick.
-        for node in nodes.values():
+        for node in self._node_list:
             node.seen.clear()
-        for node in nodes.values():
+        for node in self._node_list:
             for lid, receiver, msg in node.sample_tick(t1, samples):
                 push(queue, (t1 + latency, msg.origin, msg.seq, receiver, counter, lid, msg))
                 counter += 1
@@ -338,18 +435,230 @@ class GospfController(ProtocolHooks):
                 push(queue, (forwarded, out.origin, out.seq, peer, counter, lid, out))
                 counter += 1
                 copies[lid] = copies.get(lid, 0) + 1
+        return counter
+
+    def _finish(self, t1: float, counter: int) -> int:
+        """Add the tick's copies to the run's and set the next action time;
+        returns the control bytes sent."""
         if counter:
             totals = self.flood_copies
-            for lid, n in copies.items():
+            for lid, n in self.window_copies.items():
                 totals[lid] = totals.get(lid, 0) + n
             self.next_action = -math.inf
         elif self.next_action == math.inf:
             self.next_action = min(node.next_safeguard_expiry(t1)
-                                   for node in nodes.values())
+                                   for node in self._safeguard_holders())
         return counter * self.run.cfg.control_msg_bytes
 
+    # ------------------------------------------------------------ tick memo
+
+    def _intern(self, part):
+        return self.canon.setdefault(part, part)
+
+    def _record(self, node: GospfNode, before: tuple | None = None) -> tuple:
+        """The node's state without times or seqs: (active view, interface
+        states, roles, cut matrix, scan floor, failed links, tree edges),
+        states and roles by member name, whose hash is cached. Returns
+        `before` itself when the node still matches it. A tick the memo
+        covers changes neither the failed links nor the tree."""
+        intern = self._intern
+        view = node.active_view
+        if before is not None and view == before[0]:
+            view = before[0]
+        elif view == self._last_view:
+            view = self._last_view
+        else:
+            view = self._last_view = intern(frozenset(view))
+        record = (view,
+                  intern(tuple(map(_NAME, node.iface_state.values()))),
+                  intern(tuple(map(_NAME, node.iface_role.values()))),
+                  intern(self._matrix_part(node, before and before[3])),
+                  node.scan_floor,
+                  intern(frozenset(node.failed)) if before is None else before[5],
+                  node.mcst.edges)
+        return before if record == before else record
+
+    @staticmethod
+    def _matrix_part(node: GospfNode, before=None):
+        """The cut matrix's non-empty rows. While every cut link sits in the
+        row `_row_of` gives it, the rows follow from the links, so the part
+        is the frozenset of cut links, which converged nodes share;
+        otherwise it is the sorted (row, links) pairs. `_mark_cut` files a
+        link under `_row_of`, which changes only on a failure or a reset, so
+        a tick the memo covers keeps a frozenset `before` part one."""
+        matrix = node.matrix
+        if type(before) is frozenset:
+            return frozenset().union(*matrix.values())
+        row_of = node._row_of
+        if all(row_of[lid] == row for row, cut in matrix.items() for lid in cut):
+            return frozenset().union(*matrix.values())
+        return tuple(sorted((row, frozenset(cut)) for row, cut in matrix.items() if cut))
+
+    @staticmethod
+    def _matrix_rows(node: GospfNode, part) -> dict[int, set[int]]:
+        """The cut matrix a `_matrix_part` stands for."""
+        if type(part) is tuple:
+            return {row: set(cut) for row, cut in part}
+        matrix = {}
+        row_of = node._row_of
+        for lid in part:
+            matrix.setdefault(row_of[lid], set()).add(lid)
+        return matrix
+
+    def _intern_state(self, records: tuple) -> int:
+        sid = self.state_ids.get(records)
+        if sid is None:
+            sid = self.state_ids[records] = len(self.states)
+            self.states.append(records)
+        return sid
+
+    def _safeguard_holders(self) -> list[GospfNode]:
+        """The first node alone when every node holds the same safeguards,
+        as converged nodes do; else every node."""
+        nodes = self._node_list
+        first = nodes[0].safeguard
+        return nodes[:1] if all(node.safeguard == first for node in nodes) else nodes
+
+    def _sign_safeguards(self, t1: float, holders: list[GospfNode]) -> tuple:
+        """Forget the expired safeguards, then sign the rest: for each, how
+        many of the tick's instants lie below its expiry less _EPS. The tick
+        reads a safeguard only through comparisons of the instants with
+        that value. `holders` is `_safeguard_holders()`: one tuple when
+        every node holds the same safeguards, else one per node after a
+        None."""
+        nodes = self._node_list
+        first = nodes[0].safeguard
+        held = len(first)
+        for node in holders:
+            node.forget_expired_safeguards(t1)
+        if len(holders) == 1:
+            if len(first) != held:  # the others hold the same expiries
+                for node in nodes[1:]:
+                    node.forget_expired_safeguards(t1)
+            if not first:
+                return ()
+            instants = self._instants(t1)
+            return tuple((lid, bisect_left(instants, s - _EPS)) for lid, s in first.items())
+        instants = self._instants(t1)
+        return (None, *(tuple((lid, bisect_left(instants, s - _EPS))
+                              for lid, s in node.safeguard.items()) for node in nodes))
+
+    def _classes(self, samples: dict[int, float]) -> bytes:
+        """Each link's sample class as `classify` splits it, NaN normal:
+        0 under, 1 normal, 2 over, 3 no sample."""
+        cfg = self.run.cfg
+        gamma_u, gamma_l = cfg.gamma_u, cfg.gamma_l
+        return bytes([3 if u is None else 2 if u > gamma_u else 0 if u < gamma_l else 1
+                      for u in map(samples.get, self.run.topology.links)])
+
+    def _record_tick(self, t1: float, samples: dict[int, float]) -> _TickEntry:
+        """Run the tick in full and record what it did."""
+        nodes = self._node_list
+        seqs = [node._seq for node in nodes]
+        safeguards = [dict(node.safeguard) for node in nodes]
+        self._effects = []
+        try:
+            self._drain(t1, samples)
+            effects = self._effects
+        finally:
+            self._effects = None
+        instants = self._instants(t1)
+        index = {}
+        for k in range(len(instants) - 1, -1, -1):
+            index[instants[k]] = k
+        seq_of = {node.node_id: seq for node, seq in zip(nodes, seqs)}
+        effects = tuple((index[t], nid, link, event, None if seq == -1 else seq - seq_of[nid])
+                        for t, nid, link, event, seq in effects)
+        state = self.states[self.state_id]
+        post = list(state)
+        deltas = []
+        for i, node in enumerate(nodes):
+            before = state[i]
+            if node.seen:
+                record = self._record(node, before)
+                advance = node._seq - seqs[i]
+                held = safeguards[i]
+                grafted = tuple(lid for lid, s in node.safeguard.items() if held.get(lid) != s)
+            else:
+                # A node that sent and received nothing can only have moved
+                # its scan floor or turned a grafted interface uncut.
+                advance, grafted = 0, ()
+                record = before
+                if (node.scan_floor != before[4]
+                        or tuple(map(_NAME, node.iface_role.values())) != before[2]):
+                    record = self._record(node, before)
+            if record is not before or advance or grafted:
+                deltas.append((i, record, advance, grafted))
+                post[i] = record
+        copies = self.window_copies
+        return _TickEntry(effects, tuple(deltas), tuple(copies), tuple(copies.values()),
+                          self._intern_state(tuple(post)))
+
+    def _replay(self, entry: _TickEntry, t1: float, shared: bool) -> None:
+        """Apply a recorded tick through the same hooks a full one calls.
+        `shared`: every node holds the same safeguards."""
+        nodes = self.nodes
+        instants = self._instants(t1) if entry.effects else None
+        for k, nid, link, event, offset in entry.effects:
+            t = instants[k]
+            if event is _SLEPT:
+                self.interface_slept(t, nid, link)
+            elif event is _WOKE:
+                self.interface_woke(t, nid, link)
+            else:
+                self.record_event(t, nid, event, link,
+                                  -1 if offset is None else nodes[nid]._seq + offset)
+        state = self.states[self.state_id]
+        node_list = self._node_list
+        for node in node_list:
+            node.seen.clear()
+        # The expiry `_graft_step` computes at t1; a grafted link keeps the
+        # later of it and what it held. Nodes that held the same safeguards
+        # get the same new values.
+        expiry = t1 + node_list[0].safeguard_interval + node_list[0].t_sample
+        grafts = {}
+        for i, record, advance, grafted in entry.deltas:
+            node = node_list[i]
+            before = state[i]
+            if record is not before:
+                view, iface, role, matrix, node.scan_floor, _failed, _tree = record
+                if view is not before[0]:
+                    node.active_view = set(view)
+                    node._routing = None
+                if iface is not before[1]:
+                    node.iface_state.update(zip(node._local_links,
+                                                map(_STATES.__getitem__, iface)))
+                    node._awake_ports = None
+                if role is not before[2]:
+                    node.iface_role.update(zip(node._local_links,
+                                               map(_ROLES.__getitem__, role)))
+                if matrix is not before[3]:
+                    if type(matrix) is frozenset and type(before[3]) is frozenset:
+                        cuts, row_of = node.matrix, node._row_of
+                        for lid in before[3] - matrix:
+                            cuts[row_of[lid]].discard(lid)
+                        for lid in matrix - before[3]:
+                            cut = cuts.get(row_of[lid])
+                            if cut is None:
+                                cuts[row_of[lid]] = {lid}
+                            else:
+                                cut.add(lid)
+                    else:
+                        node.matrix = self._matrix_rows(node, matrix)
+            node._seq += advance
+            if grafted:
+                safeguard = node.safeguard
+                new = grafts.get(grafted) if shared else None
+                if new is None:
+                    new = grafts[grafted] = {lid: max(safeguard.get(lid, -math.inf), expiry)
+                                             for lid in grafted}
+                safeguard.update(new)
+        copies = self.window_copies
+        for lid, n in zip(entry.links, entry.copies):
+            copies[lid] = copies.get(lid, 0) + n
+
     def resetting(self) -> bool:
-        return any(node.reset_until is not None for node in self.nodes.values())
+        return any(node.reset_until is not None for node in self._node_list)
 
     def next_action_time(self) -> float:
         """-inf after any send, event, failure or reset completion since the

@@ -157,6 +157,15 @@ class GospfNode:
         return min((s - _EPS for s in self.safeguard.values() if s - _EPS > now),
                    default=math.inf)
 
+    def forget_expired_safeguards(self, now: float) -> None:
+        """Drop the safeguards that have expired by `now`. Such an entry
+        compares like an absent one at `now` and after, and a later graft's
+        expiry exceeds it, so nothing reads a difference."""
+        safeguard = self.safeguard
+        if safeguard:
+            for lid in [lid for lid, s in safeguard.items() if s - _EPS <= now]:
+                del safeguard[lid]
+
     def awake_ports(self) -> tuple[tuple[int, int], ...]:
         """(link, peer) for every local link neither failed nor asleep."""
         ports = self._awake_ports
@@ -197,6 +206,7 @@ class GospfNode:
         thresholds. `samples` maps link ids to their utilization over the
         window just ended and may cover more links than this node owns.
         Returns the copies to send."""
+        self.forget_expired_safeguards(now)
         out = []
         while self.pending_failures:
             lid = self.pending_failures.pop(0)

@@ -1,8 +1,10 @@
+import contextlib
 import random
 
 import pytest
 
 from gospf.energy import OperationalState
+from gospf.engine import GospfController
 from gospf.graph import Link, Topology, bundled_topology_text, parse_topology
 
 
@@ -52,3 +54,28 @@ def fresh_awake_ports(node):
     return tuple((lid, peer) for lid, peer in node._ports
                  if lid not in node.failed
                  and node.iface_state[lid] is not OperationalState.SLEEP)
+
+
+class NeverHits(dict):
+    """A tick memo that misses every lookup and keeps nothing stored in it,
+    so every tick runs in full."""
+
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@contextlib.contextmanager
+def tick_memo_off():
+    """Within the block, new GospfControllers run every tick in full."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GospfController, "memo_factory", NeverHits)
+        yield
+
+
+@pytest.fixture
+def no_tick_memo():
+    with tick_memo_off():
+        yield

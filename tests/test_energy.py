@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gospf.energy
 from gospf.config import ConfigError, parse_config
 from gospf.energy import (ONE, EnergyAccount, EnergyLedger, InvalidThresholds,
                           InvalidTransition, NegativeDuration, OperationalState,
@@ -202,6 +203,34 @@ def test_ledger_rejects_negative_busy_times():
         ledger.set_busy(1, 0.3)  # idle share would be negative
     with pytest.raises(NegativeDuration):
         EnergyLedger([Link(1, 1, 2, 1e7)], -0.2).set_busy(1, 0.0)
+
+
+def test_ledger_converts_a_recent_busy_time_once(monkeypatch):
+    # The last three busy times set keep their conversions; a fourth
+    # distinct one evicts the least recently set.
+    conversions = []
+    original = gospf.energy.exact
+
+    def exact_counted(x):
+        conversions.append(x)
+        return original(x)
+
+    ledger = EnergyLedger([Link(1, 1, 2, 1e7)], 0.2)
+    monkeypatch.setattr(gospf.energy, "exact", exact_counted)
+    per_set = []
+    for t_busy in (0.1, 0.05, 0.1, 0.02, 0.05, 0.07, 0.1):
+        before = len(conversions)
+        ledger.set_busy(1, t_busy)
+        ledger.charge()
+        per_set.append(len(conversions) - before)
+    assert per_set == [4, 4, 0, 4, 0, 4, 4]
+    monkeypatch.undo()
+    fresh = EnergyLedger([Link(1, 1, 2, 1e7)], 0.2)
+    for t_busy in (0.1, 0.05, 0.1, 0.02, 0.05, 0.07, 0.1):
+        fresh._links[1].recent = ()
+        fresh.set_busy(1, t_busy)
+        fresh.charge()
+    assert ledger.total == fresh.total
 
 
 def test_ledger_charges_the_wake_cost_to_the_last_window():

@@ -19,7 +19,8 @@ from gospf.graph import Topology, compute_mcst, is_connected
 from gospf.protocol import GospfNode
 from gospf.traffic import Flow, TrafficMatrix, allocate, generate_traffic
 
-from conftest import fresh_awake_ports, make_topology, random_connected_topology
+from conftest import (fresh_awake_ports, make_topology, random_connected_topology,
+                      tick_memo_off)
 
 DEFAULT_POWERS = dict(p_active=1.0, p_idle=0.8, p_sleep=0.016)
 
@@ -377,12 +378,13 @@ def test_golden_tree_failure_and_reset(garr48):
         "3fb4ba58902fe062ac3e07b51a28727164a97e4cd76f3e9210ce40e2fe0b3658"
 
 
-def test_forced_bridge_sleep_breaks_the_spanning_invariant(monkeypatch):
+def test_forced_bridge_sleep_breaks_the_spanning_invariant(monkeypatch, no_tick_memo):
     # Link 4 is the only link to node 4. Sleeping it mid-run through the
     # protocol hooks must drop the engine's cached active set, so the
     # connectivity check sees the new set and fails. The rate step at t=3
     # makes the window that ends at 3.2 tick; steady windows are replayed
-    # without a tick.
+    # without a tick. The fault is patched into sample_tick, which the tick
+    # memo cannot see, so every tick runs in full.
     topo = make_topology([(1, 2), (2, 3), (3, 1), (3, 4)], 1e7)
     flow = constant_flow(1, 1, 2, 1e5, start=3.0)
     original = GospfNode.sample_tick
@@ -458,20 +460,33 @@ def test_baseline_sends_no_copies():
 def test_steady_windows_run_no_protocol_tick(garr48, monkeypatch):
     # With no traffic, window 0 cuts to the tree, window 1 carries the
     # floods' control bits and window 2 is the first steady one; every
-    # later window repeats it and must be replayed without ticking.
+    # later window repeats it and must be replayed without ticking. With
+    # the tick memo off, each tick runs every node's sample_tick.
     ticks = []
-    original = GospfNode.sample_tick
+    original = GospfController.tick
 
-    def sample_tick(node, now, samples):
-        ticks.append(now)
-        return original(node, now, samples)
+    def tick(ctrl, t1, samples):
+        ticks.append(t1)
+        return original(ctrl, t1, samples)
 
-    monkeypatch.setattr(GospfNode, "sample_tick", sample_tick)
+    monkeypatch.setattr(GospfController, "tick", tick)
     result = run(scenario(garr48, horizon=10.0))
     assert result.metrics.ctrl_bytes[0] > 0
-    assert sorted(set(ticks)) == [0.2, 0.4, 0.6000000000000001]
-    assert len(ticks) == 3 * len(garr48.nodes)
+    assert ticks == [0.2, 0.4, 0.6000000000000001]
     assert len(result.metrics.times) == 50
+
+    node_ticks = []
+    original_sample_tick = GospfNode.sample_tick
+
+    def sample_tick(node, now, samples):
+        node_ticks.append(now)
+        return original_sample_tick(node, now, samples)
+
+    monkeypatch.setattr(GospfNode, "sample_tick", sample_tick)
+    with tick_memo_off():
+        run(scenario(garr48, horizon=10.0))
+    assert sorted(set(node_ticks)) == [0.2, 0.4, 0.6000000000000001]
+    assert len(node_ticks) == 3 * len(garr48.nodes)
 
 
 def test_one_spanning_tree_per_failed_link_set(garr48, monkeypatch):
@@ -494,8 +509,10 @@ def test_one_spanning_tree_per_failed_link_set(garr48, monkeypatch):
 def test_daily_pair_skips_unchanged_work(garr48, monkeypatch):
     # Of the garr48 day's 7,200 windows, only the 96 that reach a breakpoint
     # evaluate demands, and the ledger converts a link's increments only in
-    # a window whose busy time for that link changed. Every protocol tick
-    # and every copy delivery still runs.
+    # a window whose busy time for that link changed. The controller ticks
+    # 712 times; all but 8 of those ticks repeat a memoised one and are
+    # replayed, so only 8 run the nodes' sample_tick (48 each) and deliver
+    # their copies.
     counts = collections.Counter()
 
     def count(owner, name):
@@ -509,6 +526,7 @@ def test_daily_pair_skips_unchanged_work(garr48, monkeypatch):
 
     count(TrafficMatrix, "demand_at")
     count(EnergyLedger, "set_busy")
+    count(GospfController, "tick")
     count(GospfNode, "sample_tick")
     count(GospfNode, "handle_message")
     matrix = generate_traffic(garr48, "daily", 17, 0.4, ScenarioConfig().horizon)
@@ -518,8 +536,8 @@ def test_daily_pair_skips_unchanged_work(garr48, monkeypatch):
         run(scenario(garr48, matrix, mode=mode))
         per_mode[mode] = dict(counts)
     assert per_mode == {
-        "gospf": {"demand_at": 96, "set_busy": 29_073, "sample_tick": 34_176,
-                  "handle_message": 132_567},
+        "gospf": {"demand_at": 96, "set_busy": 29_073, "tick": 712, "sample_tick": 384,
+                  "handle_message": 3_777},
         "baseline": {"demand_at": 96, "set_busy": 3_060},
     }
 
@@ -533,9 +551,10 @@ def reference_run(sc):
     through the ledger: every window converts every account's increment
     from the account's state and the window's busy time and adds it, and
     each `switch_count` step adds `e_c`. A `_Run` supplies the real
-    controller, the accounts and the run's cost table; its own loop and its
-    ledger's sums are not used."""
-    state = gospf.engine._Run(sc, capture_states=False)
+    controller, with its tick memo off, the accounts and the run's cost
+    table; its own loop and its ledger's sums are not used."""
+    with tick_memo_off():
+        state = gospf.engine._Run(sc, capture_states=False)
     cfg, topo, ctrl, traffic = state.cfg, state.topology, state.controller, sc.traffic
     ts = cfg.t_sample
     capacities = {lid: link.capacity for lid, link in topo.links.items()}
@@ -634,10 +653,11 @@ def run_outcome(runner, sc):
 
 
 @st.composite
-def reference_cases(draw):
+def reference_cases(draw, failures=(0, 2), latencies=(0.001, 0.0)):
     # Steps and failures fall on, and between, window starts; failures hit
     # any link, so tree-link resets and partitions are drawn too. Wake-ups
-    # cost energy in some cases.
+    # cost energy in some cases. `failures` bounds the number of failed
+    # links; `latencies` lists the control latencies drawn.
     rng = random.Random(draw(st.integers(0, 10_000)))
     n = draw(st.integers(min_value=4, max_value=8))
     topo = random_connected_topology(rng, n, draw(st.integers(min_value=1, max_value=n)))
@@ -655,10 +675,11 @@ def reference_cases(draw):
             rng.choice(("udp", "tcp"))))
     failures = [(draw(st.integers(min_value=1, max_value=int(horizon * 10) - 1)) * 0.1, lid)
                 for lid in draw(st.lists(st.sampled_from(sorted(topo.links)),
-                                         max_size=2, unique=True))]
+                                         min_size=failures[0], max_size=failures[1],
+                                         unique=True))]
     return scenario(topo, TrafficMatrix(flows, horizon), failures=failures,
                     horizon=horizon, t_sample=t_sample,
-                    control_latency=draw(st.sampled_from((0.001, 0.0))),
+                    control_latency=draw(st.sampled_from(latencies)),
                     mode=draw(st.sampled_from(("gospf", "gospf", "baseline"))))
 
 
@@ -686,6 +707,103 @@ def test_reference_loop_raises_as_run_does_when_a_cut_races_a_reset():
     # checked one, so a loop that checked only once would finish.
     sc = cut_racing_reset_scenario()
     assert run_outcome(run, sc) == run_outcome(reference_run, sc)
+
+
+# ---------------------------------------------------------------- tick memo
+
+def node_state(node):
+    """Everything of a node that a tick reads or writes, but its dedup keys
+    and caches."""
+    return (sorted(node.active_view), list(node.iface_state.items()),
+            list(node.iface_role.items()),
+            sorted((row, sorted(cut)) for row, cut in node.matrix.items() if cut),
+            node.scan_floor, sorted(node.safeguard.items()), node._seq, sorted(node.failed),
+            sorted(node.mcst.edges), node.reset_until, list(node.pending_failures))
+
+
+def outcome_and_node_states(sc):
+    """`run_outcome` of the run, and every node's state after each tick."""
+    states = []
+    original = GospfController.tick
+
+    def tick(ctrl, t1, samples):
+        ctrl_bytes = original(ctrl, t1, samples)
+        states.append((t1, [node_state(node) for node in ctrl.nodes.values()]))
+        return ctrl_bytes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GospfController, "tick", tick)
+        return run_outcome(run, sc), states
+
+
+def outcomes_with_and_without_the_tick_memo(sc):
+    with_memo = outcome_and_node_states(sc)
+    with tick_memo_off():
+        return with_memo, outcome_and_node_states(sc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(reference_cases(), reference_cases(failures=(2, 2), latencies=(0.0,))))
+def test_tick_memo_is_invisible(sc):
+    with_memo, without = outcomes_with_and_without_the_tick_memo(sc)
+    assert with_memo == without
+
+
+def garr48_day_scenario(garr48, horizon=120.0):
+    # The daily profile squeezed into `horizon` seconds: trough cuts,
+    # midday grafts.
+    return scenario(garr48, generate_traffic(garr48, "daily", 17, 0.4, horizon),
+                    horizon=horizon)
+
+
+MEMO_SCENARIOS = {
+    **GOLDEN_SCENARIOS,
+    "garr48_day": garr48_day_scenario,
+    # Chord 3 fails mid-day and moves other cut links' matrix rows, so the
+    # memo keys and replays cut matrices whose rows no longer follow the
+    # hop counts.
+    "garr48_day_chord_failure": lambda garr48: dataclasses.replace(
+        garr48_day_scenario(garr48), link_failures=((50.0, 3),)),
+    # The safeguard expiry falls between the first and second arrival
+    # instants of the tick eleven windows after each graft.
+    "expiry_between_arrivals": lambda garr48: cut_graft_scenario(
+        safeguard_interval=10 * 0.2 + 1.5 * 0.001),
+}
+
+
+@pytest.mark.parametrize("make", MEMO_SCENARIOS.values(), ids=MEMO_SCENARIOS.keys())
+def test_tick_memo_is_invisible_on_the_golden_scenarios(garr48, make, monkeypatch):
+    node_ticks = []
+    original = GospfNode.sample_tick
+
+    def sample_tick(node, now, samples):
+        node_ticks.append(now)
+        return original(node, now, samples)
+
+    monkeypatch.setattr(GospfNode, "sample_tick", sample_tick)
+    sc = make(garr48)
+    with_memo = outcome_and_node_states(sc)
+    replayed = len(node_ticks)
+    with tick_memo_off():
+        without = outcome_and_node_states(sc)
+    assert isinstance(with_memo[0][0], str)
+    assert with_memo == without
+    # The memo replayed at least one tick.
+    assert replayed < len(node_ticks) - replayed
+
+
+def test_tick_memo_keeps_the_rows_of_stale_cut_links():
+    # A failure moves hop counts but leaves the links cut before it in their
+    # old cut-matrix rows, and grafts escalate row by row, so the memo must
+    # tell a link in its hop-count row from one in another row.
+    ctrl = gospf.engine._Run(cut_graft_scenario(), capture_states=False).controller
+    node = ctrl.nodes[1]
+    lid = min(set(node.topology.links) - node.mcst.edges)
+    row = node._row_of[lid]
+    node.matrix = {row: {lid}}
+    in_place = ctrl._record(node)
+    node.matrix = {row + 1: {lid}}
+    assert ctrl._record(node) != in_place
 
 
 # --------------------------------------------------------- converged views
@@ -721,10 +839,8 @@ def converged_view_check():
 
 
 def test_views_converge_every_tick_on_a_garr48_day(garr48):
-    # The daily profile squeezed into 120 s: trough cuts, midday grafts.
-    matrix = generate_traffic(garr48, "daily", 17, 0.4, 120.0)
     with converged_view_check() as ticks:
-        result = run(scenario(garr48, matrix, horizon=120.0))
+        result = run(garr48_day_scenario(garr48))
     assert {"event=CUT", "event=GRAFT"} <= event_kinds(result)
     assert len(ticks) > 10
 

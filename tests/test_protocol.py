@@ -264,6 +264,24 @@ def test_next_safeguard_expiry_is_the_first_tick_that_may_recut():
     assert node.next_safeguard_expiry(expiry) == math.inf
 
 
+def test_tick_forgets_expired_safeguards():
+    # An entry whose expiry less the timer slack is at or before the tick
+    # compares like an absent one from then on, so the tick drops it.
+    topo = chain_topology()
+    node = build_node(topo, 1)
+    populate_matrix(node, (5, 6, 7))
+    node.sample_tick(0.2, samples_for(node, {1: 0.95, 5: 0.0}))
+    expiry = node.next_safeguard_expiry(0.4)
+    normal = samples_for(node, {1: 0.5, 5: 0.5})
+    node.sample_tick(math.nextafter(expiry, 0.0), normal)
+    assert list(node.safeguard) == [5]
+    node.sample_tick(expiry, normal)
+    assert node.safeguard == {}
+    node.safeguard = {5: 3.0, 6: 1.0, 7: 2.0}
+    node.forget_expired_safeguards(2.0)
+    assert node.safeguard == {5: 3.0}
+
+
 def test_routing_memo_keeps_current_and_previous_view(monkeypatch):
     topo = chain_topology()
     node = build_node(topo, 1)
