@@ -1,14 +1,15 @@
-"""Run the perfbench workloads on one or more source trees and write a
+"""Run the three perfbench workloads on one or more source trees and write a
 BENCH json file with their medians, sim_digests, source line counts and the
 host.
 
     python3 scripts/bench.py --out BENCH_new.json --tree parent=../parent \
-        --tree change=. --pairs 5 --seconds 8
+        --tree change=.
 
 Each `--tree LABEL=PATH` names a source checkout holding `perfbench/run.py`
-and `src/`. The runs alternate between the trees, one run of each per pair,
-and the tree that goes first alternates from pair to pair, so that a slow
-spell on a shared host hits every tree alike. With two trees the file also
+and `src/`. Every workload runs at seed 1 for the `run_seconds` that the last
+tree's BENCHMARK.json fixes, in 10 pairs: one run of each tree per pair, and
+the tree that goes first alternates from pair to pair, so that a slow spell
+on a shared host hits every tree alike. With two trees the file also
 records, per metric, how many pairs the second tree won, the median of the
 per-pair differences and the first tree's interquartile range. Standard
 library only.
@@ -25,6 +26,7 @@ from pathlib import Path
 
 WORKLOADS = ("daily-pair", "churn-96", "gap-small")
 SEED = 1
+PAIRS = 10
 
 
 class BadOutput(ValueError):
@@ -86,11 +88,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH")
-    parser.add_argument("--pairs", type=int, default=5, help="runs of each tree per workload")
-    parser.add_argument("--seconds", type=float, default=8.0,
-                        help="timed seconds per perfbench run")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="workloads to run (default: all three)")
     args = parser.parse_args(argv)
 
     trees = []
@@ -101,15 +98,16 @@ def main(argv=None) -> int:
         trees.append((label, Path(path).resolve()))
     bench_spec = json.loads((trees[-1][1] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench_spec["end_to_end"]}
+    seconds = bench_spec["run_seconds"]
 
     entries = {label: {"workloads": {}} for label, _ in trees}
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         runs = {label: [] for label, _ in trees}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = trees if pair % 2 == 0 else trees[::-1]
             for label, path in order:
-                runs[label].append(run_perfbench(path, workload, args.seconds, 0))
-                print(f"{workload} pair {pair + 1}/{args.pairs} {label}: "
+                runs[label].append(run_perfbench(path, workload, seconds, 0))
+                print(f"{workload} pair {pair + 1}/{PAIRS} {label}: "
                       f"{runs[label][-1]['metrics']}", file=sys.stderr)
         for label, done in runs.items():
             values = {name: [run["metrics"][name] for run in done] for name in better}
@@ -123,7 +121,7 @@ def main(argv=None) -> int:
     record = {
         "host": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                  "machine": platform.machine(), "system": platform.system()},
-        "method": {"seed": SEED, "seconds": args.seconds, "pairs": args.pairs, "trace": 0,
+        "method": {"seed": SEED, "seconds": seconds, "pairs": PAIRS, "trace": 0,
                    "order": "alternating, first tree first in even pairs"},
         "entries": entries,
     }

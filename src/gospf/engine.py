@@ -13,19 +13,18 @@ import hashlib
 import heapq
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .config import ConfigError, ScenarioConfig
 from .energy import (ONE, EnergyAccount, EnergyLedger, InterfaceRole, OperationalState,
-                     exact)
+                     classify, exact)
 # Re-exported: profiling tools look the network-energy sum up on this module.
 from .energy import total_network_energy  # noqa: F401
 from .graph import (DisconnectedTopology, RoutingTable, SpanningTree, Topology,
                     bfs_hop_counts, is_connected, ospf_costs, shortest_paths,
                     write_topology)
-from .protocol import _EPS, GospfNode, ProtocolHooks
+from .protocol import GospfNode, ProtocolHooks
 from .traffic import TrafficMatrix, allocate, write_traffic
 
 MODE_GOSPF = "gospf"
@@ -382,13 +381,12 @@ class GospfController(ProtocolHooks):
             return self._finish(t1, self._drain(t1, samples))
         if self.state_id is None:
             self.state_id = self._intern_state(tuple(self._record(node) for node in nodes))
-        holders = self._safeguard_holders()
-        key = (self.state_id, self._sign_safeguards(t1, holders), self._classes(samples))
+        key = (self.state_id, self._sign_safeguards(t1), self._classes(samples))
         entry = self.memo.get(key)
         if entry is None:
             entry = self.memo[key] = self._record_tick(t1, samples)
         else:
-            self._replay(entry, t1, len(holders) == 1)
+            self._replay(entry, t1)
         self.state_id = entry.post
         return self._finish(t1, entry.counter)
 
@@ -446,8 +444,13 @@ class GospfController(ProtocolHooks):
                 totals[lid] = totals.get(lid, 0) + n
             self.next_action = -math.inf
         elif self.next_action == math.inf:
-            self.next_action = min(node.next_safeguard_expiry(t1)
-                                   for node in self._safeguard_holders())
+            # Nodes holding the same safeguards have the same next expiry.
+            soonest, held = math.inf, None
+            for node in self._node_list:
+                if node.safeguard != held:
+                    held = node.safeguard
+                    soonest = min(soonest, node.next_safeguard_expiry(t1))
+            self.next_action = soonest
         return counter * self.run.cfg.control_msg_bytes
 
     # ------------------------------------------------------------ tick memo
@@ -458,7 +461,8 @@ class GospfController(ProtocolHooks):
     def _record(self, node: GospfNode, before: tuple | None = None) -> tuple:
         """The node's state without times or seqs: (active view, interface
         states, roles, cut matrix, scan floor, failed links, tree edges),
-        states and roles by member name, whose hash is cached. Returns
+        states and roles by member name, whose hash is cached, and the cut
+        matrix as its non-empty rows, sorted (row, links) pairs. Returns
         `before` itself when the node still matches it. A tick the memo
         covers changes neither the failed links nor the tree."""
         intern = self._intern
@@ -472,38 +476,12 @@ class GospfController(ProtocolHooks):
         record = (view,
                   intern(tuple(map(_NAME, node.iface_state.values()))),
                   intern(tuple(map(_NAME, node.iface_role.values()))),
-                  intern(self._matrix_part(node, before and before[3])),
+                  intern(tuple(sorted((row, intern(frozenset(cut)))
+                                      for row, cut in node.matrix.items() if cut))),
                   node.scan_floor,
                   intern(frozenset(node.failed)) if before is None else before[5],
                   node.mcst.edges)
         return before if record == before else record
-
-    @staticmethod
-    def _matrix_part(node: GospfNode, before=None):
-        """The cut matrix's non-empty rows. While every cut link sits in the
-        row `_row_of` gives it, the rows follow from the links, so the part
-        is the frozenset of cut links, which converged nodes share;
-        otherwise it is the sorted (row, links) pairs. `_mark_cut` files a
-        link under `_row_of`, which changes only on a failure or a reset, so
-        a tick the memo covers keeps a frozenset `before` part one."""
-        matrix = node.matrix
-        if type(before) is frozenset:
-            return frozenset().union(*matrix.values())
-        row_of = node._row_of
-        if all(row_of[lid] == row for row, cut in matrix.items() for lid in cut):
-            return frozenset().union(*matrix.values())
-        return tuple(sorted((row, frozenset(cut)) for row, cut in matrix.items() if cut))
-
-    @staticmethod
-    def _matrix_rows(node: GospfNode, part) -> dict[int, set[int]]:
-        """The cut matrix a `_matrix_part` stands for."""
-        if type(part) is tuple:
-            return {row: set(cut) for row, cut in part}
-        matrix = {}
-        row_of = node._row_of
-        for lid in part:
-            matrix.setdefault(row_of[lid], set()).add(lid)
-        return matrix
 
     def _intern_state(self, records: tuple) -> int:
         sid = self.state_ids.get(records)
@@ -512,43 +490,29 @@ class GospfController(ProtocolHooks):
             self.states.append(records)
         return sid
 
-    def _safeguard_holders(self) -> list[GospfNode]:
-        """The first node alone when every node holds the same safeguards,
-        as converged nodes do; else every node."""
-        nodes = self._node_list
-        first = nodes[0].safeguard
-        return nodes[:1] if all(node.safeguard == first for node in nodes) else nodes
-
-    def _sign_safeguards(self, t1: float, holders: list[GospfNode]) -> tuple:
-        """Forget the expired safeguards, then sign the rest: for each, how
-        many of the tick's instants lie below its expiry less _EPS. The tick
-        reads a safeguard only through comparisons of the instants with
-        that value. `holders` is `_safeguard_holders()`: one tuple when
-        every node holds the same safeguards, else one per node after a
-        None."""
-        nodes = self._node_list
-        first = nodes[0].safeguard
-        held = len(first)
-        for node in holders:
-            node.forget_expired_safeguards(t1)
-        if len(holders) == 1:
-            if len(first) != held:  # the others hold the same expiries
-                for node in nodes[1:]:
-                    node.forget_expired_safeguards(t1)
-            if not first:
-                return ()
-            instants = self._instants(t1)
-            return tuple((lid, bisect_left(instants, s - _EPS)) for lid, s in first.items())
+    def _sign_safeguards(self, t1: float) -> tuple:
+        """Every node's safeguard signature at the tick's instants, once it
+        forgot its expired safeguards. A node holding the same safeguards as
+        the node before it, which forgot them, has nothing to forget and
+        the same signature."""
         instants = self._instants(t1)
-        return (None, *(tuple((lid, bisect_left(instants, s - _EPS))
-                              for lid, s in node.safeguard.items()) for node in nodes))
+        signs = []
+        held = sign = None
+        for node in self._node_list:
+            safeguard = node.safeguard
+            if safeguard != held:
+                node.forget_expired_safeguards(t1)
+                if safeguard != held:
+                    held, sign = safeguard, node.safeguard_signature(instants)
+            signs.append(sign)
+        return tuple(signs)
 
-    def _classes(self, samples: dict[int, float]) -> bytes:
-        """Each link's sample class as `classify` splits it, NaN normal:
-        0 under, 1 normal, 2 over, 3 no sample."""
+    def _classes(self, samples: dict[int, float]) -> tuple:
+        """Each link's sample class by `classify`, by name, whose hash is
+        cached; None for no sample."""
         cfg = self.run.cfg
         gamma_u, gamma_l = cfg.gamma_u, cfg.gamma_l
-        return bytes([3 if u is None else 2 if u > gamma_u else 0 if u < gamma_l else 1
+        return tuple([None if u is None else classify(u, gamma_u, gamma_l)._name_
                       for u in map(samples.get, self.run.topology.links)])
 
     def _record_tick(self, t1: float, samples: dict[int, float]) -> _TickEntry:
@@ -594,9 +558,8 @@ class GospfController(ProtocolHooks):
         return _TickEntry(effects, tuple(deltas), tuple(copies), tuple(copies.values()),
                           self._intern_state(tuple(post)))
 
-    def _replay(self, entry: _TickEntry, t1: float, shared: bool) -> None:
-        """Apply a recorded tick through the same hooks a full one calls.
-        `shared`: every node holds the same safeguards."""
+    def _replay(self, entry: _TickEntry, t1: float) -> None:
+        """Apply a recorded tick through the same hooks a full one calls."""
         nodes = self.nodes
         instants = self._instants(t1) if entry.effects else None
         for k, nid, link, event, offset in entry.effects:
@@ -613,10 +576,8 @@ class GospfController(ProtocolHooks):
         for node in node_list:
             node.seen.clear()
         # The expiry `_graft_step` computes at t1; a grafted link keeps the
-        # later of it and what it held. Nodes that held the same safeguards
-        # get the same new values.
+        # later of it and what it held.
         expiry = t1 + node_list[0].safeguard_interval + node_list[0].t_sample
-        grafts = {}
         for i, record, advance, grafted in entry.deltas:
             node = node_list[i]
             before = state[i]
@@ -633,26 +594,12 @@ class GospfController(ProtocolHooks):
                     node.iface_role.update(zip(node._local_links,
                                                map(_ROLES.__getitem__, role)))
                 if matrix is not before[3]:
-                    if type(matrix) is frozenset and type(before[3]) is frozenset:
-                        cuts, row_of = node.matrix, node._row_of
-                        for lid in before[3] - matrix:
-                            cuts[row_of[lid]].discard(lid)
-                        for lid in matrix - before[3]:
-                            cut = cuts.get(row_of[lid])
-                            if cut is None:
-                                cuts[row_of[lid]] = {lid}
-                            else:
-                                cut.add(lid)
-                    else:
-                        node.matrix = self._matrix_rows(node, matrix)
+                    node.matrix = {row: set(cut) for row, cut in matrix}
             node._seq += advance
             if grafted:
                 safeguard = node.safeguard
-                new = grafts.get(grafted) if shared else None
-                if new is None:
-                    new = grafts[grafted] = {lid: max(safeguard.get(lid, -math.inf), expiry)
-                                             for lid in grafted}
-                safeguard.update(new)
+                for lid in grafted:
+                    safeguard[lid] = max(safeguard.get(lid, -math.inf), expiry)
         copies = self.window_copies
         for lid, n in zip(entry.links, entry.copies):
             copies[lid] = copies.get(lid, 0) + n

@@ -8,10 +8,13 @@ control messages; the node never touches another node's state.
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
-from .energy import InterfaceRole, OperationalState, validate_thresholds
+from .energy import (InterfaceRole, OperationalState, UtilizationClass, classify,
+                     validate_thresholds)
 from .graph import (RoutingTable, SpanningTree, Topology, bfs_hop_counts,
                     compute_mcst, ospf_costs, shortest_paths)
 
@@ -20,6 +23,9 @@ log = logging.getLogger(__name__)
 # Timer comparisons tolerate float accumulation in tick arithmetic; the
 # safeguard slack is orders of magnitude larger than this.
 _EPS = 1e-9
+
+_OVER = UtilizationClass.OVERUTILIZED
+_UNDER = UtilizationClass.UNDERUTILIZED
 
 
 class MessageKind(Enum):
@@ -153,16 +159,26 @@ class GospfNode:
 
     def next_safeguard_expiry(self, now: float) -> float:
         """The earliest time after `now` at which sample_tick's safeguard
-        comparisons change their outcome, or inf when none will."""
-        return min((s - _EPS for s in self.safeguard.values() if s - _EPS > now),
-                   default=math.inf)
+        comparisons change their outcome, or inf when none will. Forgets
+        the safeguards expired by `now`."""
+        self.forget_expired_safeguards(now)
+        return min(self.safeguard.values(), default=math.inf) - _EPS
+
+    def safeguard_signature(self, instants: list[float]) -> tuple[tuple[int, int], ...]:
+        """Each safeguard's link and how many of the ascending `instants` lie
+        below its expiry less _EPS. Every read of a safeguard compares that
+        value with a time, so two safeguard maps with the same signature
+        read alike at those instants."""
+        safeguard = self.safeguard
+        return tuple(zip(safeguard, map(bisect_left, repeat(instants),
+                                        map(_EPS.__rsub__, safeguard.values()))))
 
     def forget_expired_safeguards(self, now: float) -> None:
         """Drop the safeguards that have expired by `now`. Such an entry
         compares like an absent one at `now` and after, and a later graft's
         expiry exceeds it, so nothing reads a difference."""
         safeguard = self.safeguard
-        if safeguard:
+        if safeguard and min(safeguard.values()) - _EPS <= now:
             for lid in [lid for lid, s in safeguard.items() if s - _EPS <= now]:
                 del safeguard[lid]
 
@@ -219,20 +235,17 @@ class GospfNode:
         if self.reset_until is not None:
             return out
 
-        # The thresholds split samples as `energy.classify` does: above
-        # gamma_u is over, below gamma_l is under, anything else (NaN too)
-        # is normal.
         gamma_u, gamma_l = self.gamma_u, self.gamma_l
         over = None
         under = []
         for lid, _peer in self.awake_ports():
             if lid not in samples:
                 continue
-            u_r = samples[lid]
-            if u_r > gamma_u:
+            kind = classify(samples[lid], gamma_u, gamma_l)
+            if kind is _OVER:
                 if over is None:
                     over = lid
-            elif u_r < gamma_l:
+            elif kind is _UNDER:
                 under.append(lid)
             if (self.iface_role[lid] is InterfaceRole.MCST_GRAFT
                     and self.safeguard.get(lid, -math.inf) - _EPS <= now):

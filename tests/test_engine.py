@@ -806,6 +806,39 @@ def test_tick_memo_keeps_the_rows_of_stale_cut_links():
     assert ctrl._record(node) != in_place
 
 
+def controller_with_uneven_safeguards(t1):
+    """A controller whose nodes hold, in order: a live safeguard and one
+    expired by t1; the same two; another live one; the first two again;
+    nothing. Nodes share a signature only with the node before them."""
+    ctrl = gospf.engine._Run(cut_graft_scenario(), capture_states=False).controller
+    live, expired, other = t1 + 0.5, t1 - 0.5, t1 + 0.0005
+    held = [{5: live, 6: expired}, {5: live, 6: expired}, {5: other},
+            {5: live, 6: expired}, {}]
+    for node, safeguard in zip(ctrl.nodes.values(), held):
+        node.safeguard = dict(safeguard)
+    return ctrl
+
+
+def test_tick_memo_signs_every_nodes_own_safeguards():
+    t1 = 10.0
+    ctrl = controller_with_uneven_safeguards(t1)
+    instants = ctrl._instants(t1)
+    sign = ctrl._sign_safeguards(t1)
+    nodes = list(ctrl.nodes.values())
+    assert [node.safeguard for node in nodes[:5]] == [
+        {5: t1 + 0.5}, {5: t1 + 0.5}, {5: t1 + 0.0005}, {5: t1 + 0.5}, {}]
+    assert sign == tuple(node.safeguard_signature(instants) for node in nodes)
+    assert sign[2] != sign[1] and sign[3] == sign[1]
+
+
+def test_quiet_tick_waits_for_the_soonest_expiry_of_any_node():
+    t1 = 10.0
+    ctrl = controller_with_uneven_safeguards(t1)
+    ctrl.next_action = math.inf
+    ctrl._finish(t1, 0)
+    assert ctrl.next_action == t1 + 0.0005 - gospf.protocol._EPS
+
+
 # --------------------------------------------------------- converged views
 
 def node_view(node):
