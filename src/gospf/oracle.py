@@ -8,7 +8,6 @@ instance's rationals to integers, and the results are rationals again.
 Intended for desk-scale instances only; a guardrail rejects anything larger.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,12 +32,7 @@ class Infeasible(OracleError):
 class Demand:
     src: int
     dst: int
-    volume: Fraction  # bits/s
-
-
-def link_powers(topology: Topology) -> dict[int, Fraction]:
-    """Power of each link with both interfaces active."""
-    return {lid: 2 * Fraction(link.p_active) for lid, link in topology.links.items()}
+    volume: Fraction | float  # bits/s
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,8 @@ class CmndInstance:
                 for lid, link in self.topology.links.items()}
 
     def link_powers(self) -> dict[int, Fraction]:
-        return link_powers(self.topology)
+        """Power of each link with both interfaces active."""
+        return {lid: 2 * Fraction(link.p_active) for lid, link in self.topology.links.items()}
 
 
 @dataclass(frozen=True)
@@ -92,21 +87,6 @@ def _all_simple_paths(topology: Topology, active: frozenset[int],
     return paths
 
 
-def _path_arcs(path: tuple[int, ...]):
-    return list(zip(path, path[1:]))
-
-
-def _check_capacity(topology: Topology, assignments, limits) -> bool:
-    """Directed load per link must stay within its limit, alpha * capacity
-    in the volumes' units."""
-    load = {}
-    for volume, path in assignments:
-        for arc in _path_arcs(path):
-            load[arc] = load.get(arc, 0) + volume
-    return all(total <= limits[topology.link_between(*arc)]
-               for arc, total in load.items())
-
-
 @dataclass(frozen=True)
 class _ScaledDemand:
     """A nonzero demand in the solver's integer units: `weight` is its
@@ -128,8 +108,11 @@ def _route_demands(topology: Topology, active: frozenset[int], costs, limits,
     capacity conflict the joint assignment is searched exhaustively with
     cost-bound pruning.
     """
-    greedy = [(d.load, path) for d, (_c, path) in zip(demands, shortest)]
-    if _check_capacity(topology, greedy, limits):
+    load = {}
+    for d, (_c, path) in zip(demands, shortest):
+        for arc in zip(path, path[1:]):
+            load[arc] = load.get(arc, 0) + d.load
+    if all(total <= limits[topology.link_between(*arc)] for arc, total in load.items()):
         routing = sum(d.weight * cost for d, (cost, _p) in zip(demands, shortest))
         return routing, {d.index: path for d, (_c, path) in zip(demands, shortest)}
 
@@ -138,7 +121,7 @@ def _route_demands(topology: Topology, active: frozenset[int], costs, limits,
     for d in demands:
         paths = _all_simple_paths(topology, active, d.src, d.dst)
         scored = sorted(
-            (sum(costs[topology.link_between(u, v)] for u, v in _path_arcs(p)), p)
+            (sum(costs[topology.link_between(u, v)] for u, v in zip(p, p[1:])), p)
             for p in paths)
         options.append((d, scored))
     min_tail = [0] * (len(options) + 1)
@@ -159,18 +142,15 @@ def _route_demands(topology: Topology, active: frozenset[int], costs, limits,
         d, scored = options[i]
         for path_cost, path in scored:
             new_load = dict(load)
-            ok = True
-            for arc in _path_arcs(path):
+            for arc in zip(path, path[1:]):
                 total = new_load.get(arc, 0) + d.load
                 if total > limits[topology.link_between(*arc)]:
-                    ok = False
                     break
                 new_load[arc] = total
-            if not ok:
-                continue
-            chosen[d.index] = path
-            search(i + 1, new_load, cost_so_far + d.weight * path_cost, chosen)
-            del chosen[d.index]
+            else:
+                chosen[d.index] = path
+                search(i + 1, new_load, cost_so_far + d.weight * path_cost, chosen)
+                del chosen[d.index]
 
     search(0, {}, 0, {})
     if best_cost[0] is None:
@@ -178,18 +158,44 @@ def _route_demands(topology: Topology, active: frozenset[int], costs, limits,
     return best_cost[0], best_paths[0]
 
 
-def _scale(values) -> int:
-    """Least common denominator of exact rationals."""
-    return math.lcm(*(v.denominator for v in values))
+def _integer_table(exact: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
+    """The least common denominator of `exact` and each value times it."""
+    scale = math.lcm(*(value.denominator for value in exact.values()))
+    return scale, {k: value.numerator * (scale // value.denominator)
+                   for k, value in exact.items()}
 
 
-def _scaled(value: Fraction, scale: int) -> int:
-    """`value * scale` for a `scale` that `value`'s denominator divides."""
-    return value.numerator * (scale // value.denominator)
+class _Tables:
+    """A topology's integer OSPF costs, link powers and `alpha * capacity`
+    limits, each on its own scale, and a memo of lexicographic shortest
+    paths, shared by a scenario's solves. A path depends on the costs and the
+    available links, never on the demands, so an entry holds for every solve."""
+
+    def __init__(self, instance: CmndInstance, ref_bandwidth: float):
+        self.topology, self.alpha = instance.topology, instance.alpha
+        self.ref_bandwidth = ref_bandwidth
+        self.cost_scale, self.costs = _integer_table(instance.link_costs(ref_bandwidth))
+        self.power_scale, self.powers = _integer_table(instance.link_powers())
+        self.limit_scale, self.limits = _integer_table(
+            {lid: instance.alpha * Fraction(link.capacity)
+             for lid, link in instance.topology.links.items()})
+        self._paths: dict[tuple, tuple | None] = {}
+
+    def shortest(self, available: frozenset[int], src: int, dst: int):
+        """(path, links, cost) of the lexicographic shortest src-dst path
+        over `available`, or None; a cost is the exact sum of its links'."""
+        key = (available, src, dst)
+        if key not in self._paths:
+            found = shortest_paths(self.topology, available, src, self.costs, dst).paths.get(dst)
+            if found is not None:
+                links = tuple(map(self.topology.link_between, found, found[1:]))
+                found = (found, links, sum(map(self.costs.__getitem__, links)))
+            self._paths[key] = found
+        return self._paths[key]
 
 
-def solve_static(instance: CmndInstance, *, max_links: int = 20,
-                 max_demands: int = 8, ref_bandwidth: float = 1e8) -> CmndSolution:
+def solve_static(instance: CmndInstance, *, max_links: int = 20, max_demands: int = 8,
+                 ref_bandwidth: float = 1e8, tables: _Tables | None = None) -> CmndSolution:
     """Global optimum over link subsets under the single-path restriction.
 
     Branch and bound over links in ascending id order: subtrees are pruned
@@ -202,7 +208,8 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
     volumes and alpha * capacity by one shared capacity scale. Multiplying
     by a positive integer preserves every comparison, ties included, so the
     search takes the same steps as in the rationals; the result is converted
-    back once.
+    back once. `heuristic_gap` passes one `tables` to all of a scenario's
+    solves; without it the call builds its own.
     """
     topology = instance.topology
     if len(topology.links) > max_links:
@@ -212,6 +219,9 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
     if len(nonzero) > max_demands:
         raise InstanceTooLarge(
             f"{len(nonzero)} demands exceeds the guardrail of {max_demands}")
+    if tables is not None and (tables.topology is not topology or tables.alpha != instance.alpha
+                               or tables.ref_bandwidth != ref_bandwidth):
+        raise OracleError("tables were built for another topology, alpha or ref_bandwidth")
 
     link_ids = sorted(topology.links)
     zero_paths = {i: () for i, d in enumerate(instance.demands) if d.volume == 0}
@@ -220,35 +230,30 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
         return CmndSolution(active=frozenset(), paths=dict(zero_paths),
                             power_cost=Fraction(0), routing_cost=Fraction(0))
 
-    exact_costs = instance.link_costs(ref_bandwidth)
-    exact_powers = instance.link_powers()
-    exact_limits = {lid: instance.alpha * Fraction(link.capacity)
-                    for lid, link in topology.links.items()}
-    volumes = [Fraction(d.volume) for _i, d in nonzero]
-    cost_scale = _scale(exact_costs.values())
-    objective_scale = math.lcm(_scale(exact_powers.values()),
-                               cost_scale * _scale(volumes))
-    capacity_scale = _scale(itertools.chain(volumes, exact_limits.values()))
-    costs = {lid: _scaled(c, cost_scale) for lid, c in exact_costs.items()}
-    powers = {lid: _scaled(p, objective_scale) for lid, p in exact_powers.items()}
-    limits = {lid: _scaled(c, capacity_scale) for lid, c in exact_limits.items()}
+    tables = tables or _Tables(instance, ref_bandwidth)
+    volume_scale, volumes = _integer_table({i: Fraction(d.volume) for i, d in nonzero})
+    objective_scale = math.lcm(tables.power_scale, tables.cost_scale * volume_scale)
+    capacity_scale = math.lcm(volume_scale, tables.limit_scale)
+    costs = tables.costs
+    powers = {lid: p * (objective_scale // tables.power_scale)
+              for lid, p in tables.powers.items()}
+    limits = {lid: c * (capacity_scale // tables.limit_scale)
+              for lid, c in tables.limits.items()}
     demands = [_ScaledDemand(i, d.src, d.dst,
-                             _scaled(volume, objective_scale // cost_scale),
-                             _scaled(volume, capacity_scale))
-               for (i, d), volume in zip(nonzero, volumes)]
+                             volumes[i] * (objective_scale // tables.cost_scale // volume_scale),
+                             volumes[i] * (capacity_scale // volume_scale))
+               for i, d in nonzero]
 
     def routing_bound(available: frozenset[int]) -> tuple[int, set[int], list] | None:
         """Routing lower bound over `available`, each demand at its
         uncapacitated minimum cost, the links of the paths that reach it,
-        and each demand's (cost, path); None if some demand has no path.
-        A path's cost is the exact sum of its links' integer costs."""
+        and each demand's (cost, path); None if some demand has no path."""
         bound, path_links, shortest = 0, set(), []
         for d in demands:
-            path = shortest_paths(topology, available, d.src, costs, d.dst).paths.get(d.dst)
-            if path is None:
+            found = tables.shortest(available, d.src, d.dst)
+            if found is None:
                 return None
-            links = list(map(topology.link_between, path, path[1:]))
-            cost = sum(map(costs.__getitem__, links))
+            path, links, cost = found
             bound += d.weight * cost
             path_links.update(links)
             shortest.append((cost, path))
@@ -257,8 +262,7 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20,
     full = frozenset(link_ids)
     root = routing_bound(full)
     if root is None:
-        d = next(d for d in demands
-                 if d.dst not in shortest_paths(topology, full, d.src, costs, d.dst).paths)
+        d = next(d for d in demands if tables.shortest(full, d.src, d.dst) is None)
         raise Infeasible(f"no path for demand {d.src}->{d.dst} even with all links")
 
     best: dict = {"objective": None, "solution": None}
@@ -323,19 +327,27 @@ class GapRow:
 
 def check_flow_feasibility(topology: Topology, flows, alpha: Fraction) -> bool:
     """Eq-style feasibility of realized flows: each path connects its own
-    endpoints and directed loads respect alpha-scaled capacities."""
-    assignments = []
+    endpoints and directed loads respect alpha-scaled capacities. Loads are
+    integers on the rates' common denominator, compared with each loaded
+    link's `alpha * capacity` by cross-multiplication."""
+    rates = []
     for path, rate in flows:
         if rate <= 0:
             continue
-        if path is None or len(path) < 2:
+        if path is None or len(path) < 2 or None in map(topology.link_between, path, path[1:]):
             return False
-        for u, v in _path_arcs(path):
-            if topology.link_between(u, v) is None:
-                return False
-        assignments.append((Fraction(rate), path))
-    limits = {lid: alpha * Fraction(link.capacity) for lid, link in topology.links.items()}
-    return _check_capacity(topology, assignments, limits)
+        rates.append((rate.as_integer_ratio(), path))
+    scale = math.lcm(*(den for (_num, den), _path in rates))
+    load = {}
+    for (num, den), path in rates:
+        for arc in zip(path, path[1:]):
+            load[arc] = load.get(arc, 0) + num * (scale // den)
+    alpha_num, alpha_den = alpha.as_integer_ratio()
+    for arc, total in load.items():
+        cap_num, cap_den = topology.links[topology.link_between(*arc)].capacity.as_integer_ratio()
+        if total * alpha_den * cap_den > alpha_num * cap_num * scale:
+            return False
+    return True
 
 
 def heuristic_gap(scenario: Scenario, *, max_links: int = 20,
@@ -350,7 +362,7 @@ def heuristic_gap(scenario: Scenario, *, max_links: int = 20,
 
     result = run(scenario, capture_states=True)
     alpha = Fraction(scenario.config.alpha)
-    powers = link_powers(scenario.topology)
+    tables = _Tables(CmndInstance(scenario.topology, (), alpha), scenario.config.ref_bandwidth)
     # A row depends only on the window's active set and flows, and quiesced
     # windows repeat them: score each distinct state once. Distinct states
     # still share demands or flows, so those get their own caches.
@@ -367,15 +379,16 @@ def heuristic_gap(scenario: Scenario, *, max_links: int = 20,
         if state_key in scored:
             rows.append(GapRow(w, *scored[state_key]))
             continue
-        agg: dict[tuple[int, int], Fraction] = {}
+        agg: dict[tuple[int, int], float | Fraction] = {}
         flows_for_check = []
         for fid in sorted(state.flows):
             path, rate = state.flows[fid]
             if rate <= 0:
                 continue
             flow = scenario.traffic.flows[fid]
-            agg[(flow.src, flow.dst)] = agg.get((flow.src, flow.dst),
-                                                Fraction(0)) + Fraction(rate)
+            pair = (flow.src, flow.dst)
+            # Only flows that share an endpoint pair need an exact sum.
+            agg[pair] = Fraction(agg[pair]) + Fraction(rate) if pair in agg else rate
             flows_for_check.append((path, rate))
         demands = tuple(Demand(s, d, v) for (s, d), v in sorted(agg.items()))
         if len(demands) > max_demands:
@@ -386,18 +399,20 @@ def heuristic_gap(scenario: Scenario, *, max_links: int = 20,
             instance = CmndInstance(scenario.topology, demands, alpha)
             solution = solve_static(instance, max_links=max_links,
                                     max_demands=max_demands,
-                                    ref_bandwidth=scenario.config.ref_bandwidth)
+                                    ref_bandwidth=scenario.config.ref_bandwidth,
+                                    tables=tables)
             cache[demands] = solution.power_cost
-        optimal_power = cache[demands]
+        optimal = cache[demands]
 
-        heuristic_power = sum((powers[lid] for lid in state.active), Fraction(0))
+        heuristic = sum(map(tables.powers.__getitem__, state.active))
         flows_key = tuple(flows_for_check)
         if flows_key not in feasibility:
             feasibility[flows_key] = check_flow_feasibility(scenario.topology,
                                                             flows_for_check, alpha)
-        ratio = (float(heuristic_power / optimal_power) if optimal_power > 0
-                 else math.inf)
-        scored[state_key] = (float(heuristic_power), float(optimal_power), ratio,
+        # One integer true division each, correctly rounded as float(Fraction) is.
+        ratio = ((heuristic * optimal.denominator) / (tables.power_scale * optimal.numerator)
+                 if optimal > 0 else math.inf)
+        scored[state_key] = (heuristic / tables.power_scale, float(optimal), ratio,
                              feasibility[flows_key])
         rows.append(GapRow(w, *scored[state_key]))
     return rows

@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import hashlib
 import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,8 +14,8 @@ import gospf.oracle
 from gospf.config import ScenarioConfig, parse_config
 from gospf.engine import Scenario, run
 from gospf.graph import Topology, _UnionFind, shortest_paths
-from gospf.oracle import (CmndInstance, CmndSolution, Demand, Infeasible,
-                          InstanceTooLarge, check_flow_feasibility, gap_csv,
+from gospf.oracle import (CmndInstance, CmndSolution, Demand, GapRow, Infeasible,
+                          InstanceTooLarge, OracleError, check_flow_feasibility, gap_csv,
                           heuristic_gap, solve_static)
 from gospf.traffic import Flow, TrafficMatrix
 
@@ -548,6 +550,121 @@ def test_exact_cost_tie_is_broken_as_in_the_rationals():
     assert sorted(solve_static(instance).paths.values()) == [(1, 2, 3), (1, 4, 3)]
 
 
+# ---------------------------------------------------- shared scenario tables
+
+def solve_outcome(solve, instance, **kwargs):
+    try:
+        solution = solve(instance, **kwargs)
+    except Infeasible as exc:
+        return type(exc), str(exc)
+    assert type(solution.power_cost) is type(solution.routing_cost) is Fraction
+    return solution.active, solution.paths, solution.power_cost, solution.routing_cost
+
+
+@st.composite
+def demand_sequences(draw):
+    """One topology and alpha, and a sequence of demand sets drawn from a
+    small pool of endpoint pairs, so that later solves can reuse earlier
+    solves' shortest paths."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    topo = random_connected_topology(rng, draw(st.integers(4, 8)),
+                                     draw(st.integers(1, 4)), GARR_CAPACITIES)
+    topo = Topology(topo.nodes, [dataclasses.replace(link, p_active=rng.choice((1.0, 0.3, 1.7)))
+                                 for link in topo.links.values()])
+    alpha = draw(st.sampled_from((Fraction(0.8), Fraction(1, 2), Fraction(1))))
+    pairs = [tuple(rng.sample(sorted(topo.nodes), 2)) for _ in range(3)]
+    demand_sets = []
+    for _ in range(draw(st.integers(1, 5))):
+        demand_sets.append(tuple(
+            Demand(*rng.choice(pairs),
+                   Fraction(rng.choice((0.0, rng.randint(8, 60) * 1e6 + rng.choice((0.25, 0.5))))))
+            for _ in range(rng.randint(1, 3))))
+    return topo, alpha, demand_sets
+
+
+@settings(max_examples=40, deadline=None)
+@given(demand_sequences())
+def test_shared_tables_give_the_same_solutions(case):
+    topo, alpha, demand_sets = case
+    tables = gospf.oracle._Tables(CmndInstance(topo, (), alpha), 1e8)
+    for demands in demand_sets:
+        instance = CmndInstance(topo, demands, alpha)
+        fresh = solve_outcome(solve_static, instance)
+        assert solve_outcome(solve_static, instance, tables=tables) == fresh
+        if len(topo.links) <= 6:
+            assert solve_outcome(fraction_solve_static, instance) == fresh
+
+
+def test_solve_rejects_tables_built_for_another_instance():
+    edges = [(1, 2), (2, 3), (3, 1)]
+    topo = make_topology(edges, 1e7)
+    half = Fraction(1, 2)
+    loaded = CmndInstance(topo, (Demand(1, 2, Fraction(1e6)),), half)
+    idle = CmndInstance(topo, (Demand(1, 2, Fraction(0)),), half)
+    mismatched = [
+        (gospf.oracle._Tables(CmndInstance(make_topology(edges, 1e7), (), half), 1e8), 1e8),
+        (gospf.oracle._Tables(CmndInstance(topo, (), Fraction(1)), 1e8), 1e8),
+        (gospf.oracle._Tables(CmndInstance(topo, (), half), 1e9), 1e8),
+    ]
+    for instance in (loaded, idle):
+        for tables, ref_bandwidth in mismatched:
+            with pytest.raises(OracleError, match="tables were built for another"):
+                solve_static(instance, ref_bandwidth=ref_bandwidth, tables=tables)
+    tables = gospf.oracle._Tables(CmndInstance(topo, (), half), 1e8)
+    assert solve_static(loaded, tables=tables) == solve_static(loaded)
+
+
+# ------------------------------------------------------- rounding of gap rows
+
+def assert_correctly_rounded(value: float, exact: Fraction):
+    """`value` is the float nearest `exact`, ties to an even significand."""
+    error = abs(Fraction(value) - exact)
+    for neighbour in (math.nextafter(value, -math.inf), math.nextafter(value, math.inf)):
+        other = abs(Fraction(neighbour) - exact)
+        assert other >= error
+        if other == error:
+            assert (Fraction(value) / Fraction(math.ulp(value))) % 2 == 0
+
+
+@st.composite
+def quotients(draw):
+    """An exact positive rational n/d: anywhere, within 2^-k of a halfway
+    point between two adjacent floats (ties included, and the 2^53 binade
+    edge where the ulp doubles), or subnormal."""
+    kind = draw(st.sampled_from(("any", "halfway", "subnormal")))
+    if kind == "any":
+        return draw(st.integers(1, 2**90)), draw(st.integers(1, 2**90))
+    if kind == "halfway":
+        significand = draw(st.integers(2**52, 2**53 - 1) | st.sampled_from((2**52, 2**53 - 1)))
+        exponent = draw(st.integers(-80, 80))
+        k = draw(st.integers(60, 200))
+        nudge = draw(st.sampled_from((-1, 0, 1)))
+        halfway = Fraction(2 * significand + 1, 2) * Fraction(2) ** exponent
+        exact = halfway + Fraction(nudge, 2**k)
+        return exact.numerator, exact.denominator
+    # At most 2^40 / 2^1074 = 2^-1034, below the least normal float 2^-1022.
+    return draw(st.integers(1, 2**40)), 2**draw(st.integers(1074, 1140)) * draw(st.integers(1, 99))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotients(), st.integers(1, 2**64), st.integers(1, 2**64))
+@example((2**53 + 1, 1), 1, 1)
+@example((2**54 - 1, 2), 3, 5)
+@example((1, 2**1075), 1, 1)
+@example((3, 2**1075), 7, 2**60)
+def test_integer_row_division_rounds_as_fraction(quotient, a, b):
+    # heuristic_gap scores a row as (h * q) / (s * p), for heuristic power
+    # h / s and optimal power p / q, and reports h / s: each one int / int
+    # true division. Here h * q / (s * p) = n / d and h / s = n * a / d.
+    n, d = quotient
+    h, q, s, p = n * a, b, d, a * b
+    ratio = (h * q) / (s * p)
+    assert ratio == float(Fraction(h * q, s * p)) == float(Fraction(n, d))
+    assert_correctly_rounded(ratio, Fraction(n, d))
+    assert h / s == float(Fraction(h, s))
+    assert_correctly_rounded(h / s, Fraction(h, s))
+
+
 # -------------------------------------------------------------- gap reports
 
 def tiny_scenario(rate):
@@ -597,6 +714,11 @@ def test_flow_feasibility_checker():
     assert not check_flow_feasibility(topo, too_much, Fraction(8, 10))
     broken_path = [((1, 3), 1e6)]
     assert not check_flow_feasibility(topo, broken_path, Fraction(8, 10))
+    # Two dyadic rates that sum to exactly alpha * capacity on arc (2, 3).
+    at_limit = [((1, 2, 3), 2.5e6 + 0.25), ((2, 3), 2.5e6 - 0.25)]
+    assert check_flow_feasibility(topo, at_limit, Fraction(1, 2))
+    over_limit = [((1, 2, 3), 2.5e6 + 0.25), ((2, 3), 2.5e6 - 0.125)]
+    assert not check_flow_feasibility(topo, over_limit, Fraction(1, 2))
 
 
 def test_walkthrough_end_state_is_design_feasible():
@@ -651,6 +773,96 @@ def test_gap_csv_golden(seed, capacities, alpha, digest):
     # Recorded with the rational solver, before rows were memoised by state.
     text = gap_csv(heuristic_gap(gap_scenario(seed, capacities, alpha)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_gap_builds_one_table_and_shares_its_shortest_paths(monkeypatch):
+    # The scenario's four solves share one table, so each shortest path over
+    # an available link set is searched once: 290 searches, where building
+    # tables per solve made 389.
+    counts = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(gospf.oracle, "_Tables")
+    count(gospf.oracle, "solve_static")
+    count(gospf.oracle, "shortest_paths")
+    heuristic_gap(gap_scenario(1, (34e6, 155e6, 2.5e9, 3e7), 0.5))
+    assert dict(counts) == {"_Tables": 1, "solve_static": 4, "shortest_paths": 290}
+
+
+def fraction_gap_rows(scenario):
+    """`heuristic_gap`'s rows scored window by window in rationals, with no
+    caches: `Fraction` demand sums and link powers, the optimum from a
+    fresh `solve_static`, and `fraction_check_capacity` for feasibility."""
+    result = run(scenario, capture_states=True)
+    topology = scenario.topology
+    alpha = Fraction(scenario.config.alpha)
+    powers = {lid: 2 * Fraction(link.p_active) for lid, link in topology.links.items()}
+    rows = []
+    for w, quiet in enumerate(result.metrics.quiesced):
+        if not quiet:
+            continue
+        state = result.states[w]
+        agg, live = {}, []
+        for fid, (path, rate) in sorted(state.flows.items()):
+            if rate > 0:
+                flow = scenario.traffic.flows[fid]
+                agg[(flow.src, flow.dst)] = (agg.get((flow.src, flow.dst), Fraction(0))
+                                             + Fraction(rate))
+                live.append((Fraction(rate), path))
+        demands = tuple(Demand(s, d, v) for (s, d), v in sorted(agg.items()))
+        optimal = solve_static(CmndInstance(topology, demands, alpha),
+                               ref_bandwidth=scenario.config.ref_bandwidth).power_cost
+        heuristic = sum((powers[lid] for lid in state.active), Fraction(0))
+        feasible = (all(path is not None and len(path) >= 2
+                         and None not in map(topology.link_between, path, path[1:])
+                         for _rate, path in live)
+                    and fraction_check_capacity(topology, live, alpha))
+        rows.append(GapRow(w, float(heuristic), float(optimal),
+                           float(heuristic / optimal) if optimal > 0 else math.inf, feasible))
+    return rows
+
+
+@st.composite
+def gap_cases(draw):
+    """Small gospf scenarios with non-integer link powers, so rows hold
+    non-dyadic power sums, and with flows that share endpoint pairs."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    topo = random_connected_topology(rng, draw(st.integers(4, 7)),
+                                     draw(st.integers(1, 4)), GARR_CAPACITIES)
+    topo = Topology(topo.nodes, [dataclasses.replace(link, p_active=rng.choice((1.0, 0.3, 1.7)))
+                                 for link in topo.links.values()])
+    min_cap = min(link.capacity for link in topo.links.values())
+    pairs = [tuple(rng.sample(sorted(topo.nodes), 2)) for _ in range(2)]
+    flows = []
+    for fid in range(1, draw(st.integers(2, 4)) + 1):
+        flow = Flow(fid, *rng.choice(pairs), rng.choice(("udp", "tcp")))
+        for step in range(3):
+            flow.add_step(2.0 * step, rng.uniform(0.02, 0.3) * min_cap)
+        flows.append(flow)
+    alpha = draw(st.sampled_from((0.8, 0.5, 1.0)))
+    cfg = parse_config(f"horizon=6.0\nalpha={alpha}")
+    return Scenario(topo, TrafficMatrix(flows, cfg.horizon), cfg)
+
+
+def gap_outcome(score, scenario):
+    try:
+        return score(scenario)
+    except Infeasible as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gap_cases())
+def test_gap_rows_equal_the_rational_reference(scenario):
+    assert gap_outcome(heuristic_gap, scenario) == gap_outcome(fraction_gap_rows, scenario)
 
 
 def test_bound_prunes_no_fewer_leaves_than_the_constant_bound(monkeypatch):
