@@ -9,10 +9,11 @@ Each `--tree LABEL=PATH` names a source checkout holding `perfbench/run.py`
 and `src/`. Every workload runs at seed 1 for the `run_seconds` that the last
 tree's BENCHMARK.json fixes, in 10 pairs: one run of each tree per pair, and
 the tree that goes first alternates from pair to pair, so that a slow spell
-on a shared host hits every tree alike. With two trees the file also
-records, per metric, how many pairs the second tree won, the median of the
-per-pair differences and the first tree's interquartile range. Standard
-library only.
+on a shared host hits every tree alike. After the pairs, each tree makes one
+`--trace 1` run of the workload, whose per-layer values are recorded as they
+are and not compared. With two trees the file also records, per end-to-end
+metric, how many pairs the second tree won, the median of the per-pair
+differences and the first tree's interquartile range. Standard library only.
 """
 
 import argparse
@@ -109,20 +110,24 @@ def main(argv=None) -> int:
                 runs[label].append(run_perfbench(path, workload, seconds, 0))
                 print(f"{workload} pair {pair + 1}/{PAIRS} {label}: "
                       f"{runs[label][-1]['metrics']}", file=sys.stderr)
+        traced = {label: run_perfbench(path, workload, seconds, 1) for label, path in trees}
         for label, done in runs.items():
             values = {name: [run["metrics"][name] for run in done] for name in better}
             entries[label]["context"] = done[0]["context"]
             entries[label]["workloads"][workload] = {
-                "sim_digest": sorted({d for run in done for d in run["sim_digest"]}),
-                "correct": all(run["correct"] for run in done),
+                "sim_digest": sorted({d for run in done + [traced[label]]
+                                      for d in run["sim_digest"]}),
+                "correct": all(run["correct"] for run in done + [traced[label]]),
                 "median": {name: statistics.median(v) for name, v in values.items()},
                 "runs": values,
+                "per_layer": traced[label]["metrics"],
             }
     record = {
         "host": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                  "machine": platform.machine(), "system": platform.system()},
         "method": {"seed": SEED, "seconds": seconds, "pairs": PAIRS, "trace": 0,
-                   "order": "alternating, first tree first in even pairs"},
+                   "order": "alternating, first tree first in even pairs",
+                   "per_layer": "one --trace 1 run per tree after the pairs, not compared"},
         "entries": entries,
     }
     if len(trees) == 2:

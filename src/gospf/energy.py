@@ -115,12 +115,13 @@ class _Link:
     in ledger units, shared by both of its interfaces: `awake` at the
     link's current busy time and `asleep`; and its wake cost `e_c`.
     `awake_sums` adds up the awake increments of windows [0, since).
-    `recent` holds (busy time, awake) for the last three busy times set,
-    the most recent first: the midday oscillation returns a link to a busy
-    time it had one or two changes before."""
+    `n_awake` counts its interfaces that are awake. `recent` holds (busy
+    time, awake) for the last three busy times set, the most recent first:
+    the midday oscillation returns a link to a busy time it had one or two
+    changes before."""
 
     __slots__ = ("p_active", "p_idle", "awake", "asleep", "e_c", "since",
-                 "awake_sums", "interfaces", "recent")
+                 "awake_sums", "n_awake", "recent")
 
     def __init__(self, link, window: int, t_sample: float):
         self.p_active, self.p_idle = link.p_active, link.p_idle
@@ -129,7 +130,7 @@ class _Link:
         self.e_c = exact(link.e_c)
         self.since = 0
         self.awake_sums = (0, 0, 0, 0)
-        self.interfaces: list[_Interface] = []
+        self.n_awake = 0
         self.recent: tuple[tuple[float, tuple[int, ...]], ...] = ()
 
     def sums_at(self, asleep: bool, w: int) -> tuple[int, ...]:
@@ -190,8 +191,8 @@ class EnergyLedger:
                 acct = self.accounts[(link.link_id, side)] = EnergyAccount(
                     p_active=link.p_active, p_idle=link.p_idle,
                     p_sleep=link.p_sleep, e_c=link.e_c)
-                iface = self._interfaces[(link.link_id, side)] = _Interface(acct, charges)
-                charges.interfaces.append(iface)
+                self._interfaces[(link.link_id, side)] = _Interface(acct, charges)
+                charges.n_awake += 1
                 self.rate += charges.awake[0]
 
     def set_busy(self, lid: int, t_busy: float) -> None:
@@ -211,13 +212,11 @@ class EnergyLedger:
             used = (t_busy, (exact(link.p_active * t_busy) + exact(link.p_idle * t_idle),
                              exact(t_busy), exact(t_idle), 0))
             link.recent = (used, *recent[:2])
-        link.awake_sums = link.sums_at(False, self.windows)
-        link.since = self.windows
-        old = link.awake
-        new = link.awake = used[1]
-        for iface in link.interfaces:
-            if iface.account.state is not OperationalState.SLEEP:
-                self.rate += new[0] - old[0]
+        if link.since != self.windows:
+            link.awake_sums = link.sums_at(False, self.windows)
+            link.since = self.windows
+        self.rate += link.n_awake * (used[1][0] - link.awake[0])
+        link.awake = used[1]
 
     def _switch(self, iface: _Interface, asleep: bool) -> None:
         """Close the interface's current period and open one in the other
@@ -226,9 +225,11 @@ class EnergyLedger:
         sums = iface.sums_at(w)
         if asleep:
             iface.account.enter_sleep()
+            link.n_awake -= 1
             self.rate += link.asleep[0] - link.awake[0]
         else:
             iface.account.wake()
+            link.n_awake += 1
             self.rate += link.awake[0] - link.asleep[0]
         iface.sums = sums
         iface.start = link.sums_at(asleep, w)

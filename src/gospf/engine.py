@@ -632,10 +632,13 @@ class _Run:
             if lid not in self.topology.links:
                 raise ConfigError(f"scheduled failure of unknown link {lid}")
 
-        all_links = frozenset(self.topology.links)
-        diameter = max(max(bfs_hop_counts(self.topology, source, all_links).values())
-                       for source in self.topology.nodes)
-        if self.cfg.control_latency * (diameter + 2) > self.cfg.t_sample:
+        # Floods take the hop diameter plus 2 hops to settle. The diameter is
+        # below the node count n, so it is searched for only when n + 1 hops
+        # overrun a window.
+        topo, latency = self.topology, self.cfg.control_latency
+        if (latency * (len(topo.nodes) + 1) > self.cfg.t_sample
+                and latency * (2 + max(max(bfs_hop_counts(topo, s, topo.links.keys()).values())
+                                       for s in topo.nodes)) > self.cfg.t_sample):
             raise ConfigError(
                 "control_latency too large for t_sample: floods must settle "
                 "within one sampling window")
@@ -706,17 +709,18 @@ class _Run:
         failure_idx = 0
         traffic = self.scenario.traffic
         capacities = {lid: link.capacity for lid, link in self.topology.links.items()}
+        hops_of = {}  # allocate()'s hops per path
         all_links = frozenset(self.topology.links)
         previous_total = 0
 
         # Inputs and results of the previous window, reused while unchanged.
         prev_alloc_key = None
         alloc = None
-        prev_link_bits = None
+        prev_link_bits = {}
         prev_rates = None
         demands = traffic.window_demands(self.n_windows, ts, cfg.tcp_burst_frac)
         steady = False
-        samples: dict[int, float] = {}  # per-link utilization
+        samples = dict.fromkeys(capacities, 0.0)  # per-link utilization
         busy = dict.fromkeys(capacities, 0.0)  # the ledger starts every link idle
         surviving_connected = is_connected(self.topology, all_links)
         checked_active = None
@@ -761,7 +765,7 @@ class _Run:
                 alloc_key = (flow_paths, usable)
                 if alloc_key != prev_alloc_key:
                     alloc = allocate(flow_paths, capacities, usable, ts,
-                                     self.topology.link_between)
+                                     self.topology.link_between, hops_of)
                     prev_alloc_key = alloc_key
 
                 # Interface bit counters: data plus last window's control traffic.
@@ -769,8 +773,10 @@ class _Run:
                 for lid, bits in ctrl_bits.items():
                     link_bits[lid] = link_bits.get(lid, 0.0) + bits
                 if link_bits != prev_link_bits:
-                    samples = {}
-                    for lid, cap in capacities.items():
+                    # Only links that carry bits now or did before can change.
+                    samples = dict(samples)
+                    for lid in link_bits.keys() | prev_link_bits.keys():
+                        cap = capacities[lid]
                         bits = link_bits.get(lid, 0.0)
                         samples[lid] = bits / (cap * ts)
                         t_busy = min(ts, bits / cap)

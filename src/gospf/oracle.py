@@ -132,7 +132,7 @@ def _route_demands(topology: Topology, active: frozenset[int], costs, limits,
     best_cost: list[int | None] = [None]
     best_paths: list[dict | None] = [None]
 
-    def search(i: int, load: dict, cost_so_far: int, chosen: dict):
+    def search(i, load, cost_so_far, chosen):
         if best_cost[0] is not None and cost_so_far + min_tail[i] >= best_cost[0]:
             return
         if i == len(options):
@@ -288,8 +288,7 @@ def solve_static(instance: CmndInstance, *, max_links: int = 20, max_demands: in
     # last path. At a leaf the available links are the active ones, and the
     # bound's paths, lexicographic minima over a superset that all survive
     # in it, are its lexicographic shortest paths too.
-    def branch(i: int, included: list[int], power: int, bound: int, path_links: set[int],
-               shortest):
+    def branch(i, included, power, bound, path_links, shortest):
         if best["objective"] is not None and power + bound >= best["objective"]:
             return
         if i == len(link_ids):

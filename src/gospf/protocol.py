@@ -141,6 +141,14 @@ class GospfNode:
         self._row_of = {lid: min(hops.get(link.a, math.inf), hops.get(link.b, math.inf))
                         for lid, link in self.topology.links.items()}
 
+    def _add_failed(self, link_id: int) -> None:
+        """Record a failed link. The hop table depends on the failed set
+        alone, so a link already in it (a second RESET or LSA for the same
+        failure) leaves the table as it is."""
+        if link_id not in self.failed:
+            self.failed.add(link_id)
+            self._set_hops()
+
     def _invalidate_routing(self) -> None:
         self._routing = None
 
@@ -367,7 +375,7 @@ class GospfNode:
         return self.flood(msg)
 
     def _apply_failure(self, now: float, link_id: int) -> None:
-        self.failed.add(link_id)
+        self._add_failed(link_id)
         self._awake_ports = None
         self.active_view.discard(link_id)
         if link_id in self.iface_state:
@@ -375,7 +383,6 @@ class GospfNode:
         for row in self.matrix.values():
             row.discard(link_id)
         self.safeguard.pop(link_id, None)
-        self._set_hops()
         self._invalidate_routing()
 
     def _start_reset(self, now: float, failed_link: int):
@@ -387,7 +394,7 @@ class GospfNode:
     def _apply_reset(self, now: float, failed_link: int) -> None:
         """Wake everything except the failed link, forget cut/safeguard state,
         and schedule the tree recomputation."""
-        self.failed.add(failed_link)
+        self._add_failed(failed_link)
         self._awake_ports = None
         for lid in self._local_links:
             if lid in self.failed:
@@ -405,7 +412,6 @@ class GospfNode:
         self.active_view = set(self.topology.links) - self.failed
         until = now + self.mcst_reset_timer
         self.reset_until = until if self.reset_until is None else max(self.reset_until, until)
-        self._set_hops()
         self._invalidate_routing()
 
     def complete_reset_if_due(self, now: float) -> None:

@@ -123,15 +123,20 @@ class AllocationResult:
 
 
 def allocate(flow_paths, capacities: dict[int, float], usable,
-             window: float, pair_link) -> AllocationResult:
+             window: float, pair_link, hops_of=None) -> AllocationResult:
     """Fluid allocation of flows onto their single paths.
 
     `flow_paths` is a list of (flow_id, rate_bps, path) where path is a node
     tuple or None for unroutable flows. On any overloaded directed link every
     flow crossing it is scaled by the same factor, and downstream links see
     only the surviving share. Links outside `usable` carry nothing (scale 0).
+
+    `hops_of` caches each path's ((u, v), link_id) hops by path; callers
+    that allocate on one topology many times pass the same dict each time.
     """
-    walks = []  # (bits, [(arc, link_id), ...])
+    if hops_of is None:
+        hops_of = {}
+    walks = []  # (bits, ((arc, link_id), ...))
     offered_total = 0.0
     # Per-flow delivered and dropped bits: unroutable flows first, then the
     # walks in order. The totals are summed in this order.
@@ -145,7 +150,18 @@ def allocate(flow_paths, capacities: dict[int, float], usable,
             delivered.append(0.0)
             dropped.append(bits)
             continue
-        walks.append((bits, [((u, v), pair_link(u, v)) for u, v in zip(path, path[1:])]))
+        hops = hops_of.get(path)
+        if hops is None:
+            hops = hops_of[path] = tuple(((u, v), pair_link(u, v))
+                                         for u, v in zip(path, path[1:]))
+        walks.append((bits, hops))
+
+    link_bits = _unscaled(walks, capacities, usable, window)
+    if link_bits is not None:
+        delivered += [bits for bits, _hops in walks]
+        dropped += [0.0] * len(walks)
+        return AllocationResult(link_bits=link_bits, offered_bits=offered_total,
+                                delivered_bits=sum(delivered), dropped_bits=sum(dropped))
 
     scale: dict[tuple[int, int], float] = {}
     cap_bits = {}
@@ -171,7 +187,7 @@ def allocate(flow_paths, capacities: dict[int, float], usable,
         if delta <= 1e-15:
             break
 
-    link_bits: dict[int, float] = {}
+    link_bits = {}
     for bits, arcs in walks:
         r = bits
         for arc, lid in arcs:
@@ -181,6 +197,23 @@ def allocate(flow_paths, capacities: dict[int, float], usable,
         dropped.append(bits - r)
     return AllocationResult(link_bits=link_bits, offered_bits=offered_total,
                             delivered_bits=sum(delivered), dropped_bits=sum(dropped))
+
+
+def _unscaled(walks, capacities, usable, window):
+    """Round 0 of `allocate`'s fixed point in one pass, when it is the last:
+    every arc usable, so every flow keeps all its bits, and no arc's
+    arrivals over capacity, so every scale stays 1.0 (and `r * 1.0 == r`).
+    Returns the per-link bits, summed in walk order, or None as soon as
+    some arc is unusable or its running arrivals exceed its capacity."""
+    arrivals = {}
+    link_bits = {}
+    for bits, hops in walks:
+        for arc, lid in hops:
+            arrived = arrivals[arc] = arrivals.get(arc, 0.0) + bits
+            if lid not in usable or not arrived <= capacities[lid] * window:
+                return None
+            link_bits[lid] = link_bits.get(lid, 0.0) + bits
+    return link_bits
 
 
 def parse_traffic(text: str, horizon: float = math.inf) -> TrafficMatrix:

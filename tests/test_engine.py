@@ -265,6 +265,24 @@ def test_latency_check_uses_the_hop_diameter():
     run(scenario(topo, horizon=1.0, t_sample=0.2, control_latency=0.033))
 
 
+def test_latency_check_searches_past_the_node_count_bound(monkeypatch):
+    # A star of 9 nodes: 0.045 * (9 + 1) = 0.45 > 0.2, so the node count
+    # does not clear the check and every node is searched, but the diameter
+    # is 2 hops and 0.045 * (2 + 2) = 0.18 fits.
+    sources = []
+    original = gospf.engine.bfs_hop_counts
+
+    def counted(topology, source, active):
+        sources.append(source)
+        return original(topology, source, active)
+
+    monkeypatch.setattr(gospf.engine, "bfs_hop_counts", counted)
+    topo = make_topology([(1, leaf) for leaf in range(2, 10)], 1e7)
+    result = run(scenario(topo, horizon=1.0, t_sample=0.2, control_latency=0.045))
+    assert sources == list(range(1, 10))
+    assert len(result.metrics.times) == 5
+
+
 # ------------------------------------------------------------------ metrics
 
 def test_metrics_csv_shape(garr48):
@@ -512,7 +530,9 @@ def test_daily_pair_skips_unchanged_work(garr48, monkeypatch):
     # a window whose busy time for that link changed. The controller ticks
     # 712 times; all but 8 of those ticks repeat a memoised one and are
     # replayed, so only 8 run the nodes' sample_tick (48 each) and deliver
-    # their copies.
+    # their copies. Hop counts are searched once per node, for its cut
+    # matrix rows, and never for the latency check: garr48's 48 nodes bound
+    # its diameter well within 0.2 s of 1 ms hops.
     counts = collections.Counter()
 
     def count(owner, name):
@@ -529,17 +549,22 @@ def test_daily_pair_skips_unchanged_work(garr48, monkeypatch):
     count(GospfController, "tick")
     count(GospfNode, "sample_tick")
     count(GospfNode, "handle_message")
+    count(gospf.engine, "bfs_hop_counts")
+    count(gospf.protocol, "bfs_hop_counts")
     matrix = generate_traffic(garr48, "daily", 17, 0.4, ScenarioConfig().horizon)
     per_mode = {}
+    searches = {}
     for mode in ("gospf", "baseline"):
         counts.clear()
         run(scenario(garr48, matrix, mode=mode))
+        searches[mode] = counts.pop("bfs_hop_counts", 0)
         per_mode[mode] = dict(counts)
     assert per_mode == {
         "gospf": {"demand_at": 96, "set_busy": 29_073, "tick": 712, "sample_tick": 384,
                   "handle_message": 3_777},
         "baseline": {"demand_at": 96, "set_busy": 3_060},
     }
+    assert searches == {"gospf": 48, "baseline": 0}
 
 
 # ------------------------------------------------------------ reference loop

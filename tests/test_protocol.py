@@ -437,6 +437,30 @@ def cut_link_everywhere(nodes, lid, origin):
         node.handle_message(0.2, msg)
 
 
+def test_second_reset_for_a_failed_link_keeps_the_hop_table(monkeypatch):
+    # Both endpoints of a failed tree link start a reset, so every node gets
+    # two RESETs naming it; only the first changes the failed set.
+    node = build_node(square_topology(), 1)
+    searches = []
+    original = gospf.protocol.bfs_hop_counts
+
+    def counted(*args):
+        searches.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(gospf.protocol, "bfs_hop_counts", counted)
+    first = ControlMessage(MessageKind.RESET, origin=2, seq=0, links=(2,))
+    node.handle_message(0.4, first, arrival_link=1)
+    assert searches == [1]
+    rows = node._row_of
+    assert rows == {1: 0, 2: 1, 3: 1, 4: 0}
+    second = ControlMessage(MessageKind.RESET, origin=3, seq=0, links=(2,))
+    node.handle_message(0.4, second, arrival_link=4)
+    assert searches == [1]
+    assert node._row_of is rows
+    assert node._row_of == {1: 0, 2: 1, 3: 1, 4: 0}
+
+
 def test_nontree_failure_triggers_lsa_not_reset():
     topo = square_topology()
     nodes, hooks = build_all_nodes(topo)

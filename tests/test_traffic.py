@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import gospf.traffic
 from gospf.graph import compute_mcst, ospf_costs, shortest_paths
-from gospf.traffic import (Flow, OutOfHorizon, TrafficError, TrafficMatrix,
-                           allocate, generate_traffic, parse_traffic,
+from gospf.traffic import (AllocationResult, Flow, OutOfHorizon, TrafficError,
+                           TrafficMatrix, allocate, generate_traffic, parse_traffic,
                            place_flows, write_traffic)
 
 from conftest import make_topology, random_connected_topology
@@ -252,6 +252,94 @@ def test_capacity_never_exceeded():
     assert set(result.link_bits) == {1, 2}
     for lid, bits in result.link_bits.items():
         assert bits <= topo.links[lid].capacity * 2.0 + 1e-6
+
+
+def iterative_allocate(flow_paths, capacities, usable, window, pair_link):
+    """`allocate` as it was before its one-pass round 0: every call builds
+    each path's hops and runs the fixed-point loop."""
+    walks = []  # (bits, [(arc, link_id), ...])
+    offered_total = 0.0
+    # Per-flow delivered and dropped bits: unroutable flows first, then the
+    # walks in order. The totals are summed in this order.
+    delivered: list[float] = []
+    dropped: list[float] = []
+
+    for _fid, rate, path in flow_paths:
+        bits = rate * window
+        offered_total += bits
+        if path is None or len(path) < 2:
+            delivered.append(0.0)
+            dropped.append(bits)
+            continue
+        walks.append((bits, [((u, v), pair_link(u, v)) for u, v in zip(path, path[1:])]))
+
+    scale: dict[tuple[int, int], float] = {}
+    cap_bits = {}
+    for _bits, arcs in walks:
+        for arc, lid in arcs:
+            scale.setdefault(arc, 1.0 if lid in usable else 0.0)
+            cap_bits[arc] = capacities[lid] * window
+
+    for _round in range(200):
+        arrivals: dict[tuple[int, int], float] = {arc: 0.0 for arc in scale}
+        for bits, arcs in walks:
+            r = bits
+            for arc, _lid in arcs:
+                arrivals[arc] += r
+                r *= scale[arc]
+        delta = 0.0
+        for arc, arr in arrivals.items():
+            if scale[arc] == 0.0:
+                continue
+            new = 1.0 if arr <= cap_bits[arc] else cap_bits[arc] / arr
+            delta = max(delta, abs(new - scale[arc]))
+            scale[arc] = new
+        if delta <= 1e-15:
+            break
+
+    link_bits: dict[int, float] = {}
+    for bits, arcs in walks:
+        r = bits
+        for arc, lid in arcs:
+            r *= scale[arc]
+            link_bits[lid] = link_bits.get(lid, 0.0) + r
+        delivered.append(r)
+        dropped.append(bits - r)
+    return AllocationResult(link_bits=link_bits, offered_bits=offered_total,
+                            delivered_bits=sum(delivered), dropped_bits=sum(dropped))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_allocate_matches_the_iterative_reference(seed):
+    # Several draws on one topology share one hop cache, as the calls of one
+    # run do. Routes come from random views, so some cross unusable links
+    # and some are None, and rates fall on both sides of capacity.
+    rng = random.Random(seed)
+    topo = random_connected_topology(rng, rng.randint(4, 10), rng.randint(0, 4))
+    caps = {lid: link.capacity for lid, link in topo.links.items()}
+    costs = ospf_costs(topo)
+    nodes = list(topo.nodes)
+    hops_of = {}
+    for _draw in range(4):
+        usable = frozenset(lid for lid in topo.links if rng.random() < 0.85)
+        view = frozenset(lid for lid in topo.links if rng.random() < 0.9)
+        window = rng.choice((0.2, 1.0))
+        flow_paths = []
+        for fid in range(1, rng.randint(1, 8) + 1):
+            src, dst = rng.sample(nodes, 2)
+            path = shortest_paths(topo, view, src, costs).paths.get(dst)
+            if rng.random() < 0.1:
+                path = None
+            share = rng.choice((0.05, 0.3, 0.9, 1.6))
+            rate = share * rng.uniform(0.5, 1.0) * rng.choice(list(caps.values()))
+            flow_paths.append((fid, rate, path))
+        got = allocate(flow_paths, caps, usable, window, topo.link_between, hops_of)
+        want = iterative_allocate(flow_paths, caps, usable, window, topo.link_between)
+        assert list(got.link_bits.items()) == list(want.link_bits.items())
+        assert got.offered_bits == want.offered_bits
+        assert got.delivered_bits == want.delivered_bits
+        assert got.dropped_bits == want.dropped_bits
 
 
 # ------------------------------------------------------------------ parser
