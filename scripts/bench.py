@@ -11,9 +11,10 @@ tree's BENCHMARK.json fixes, in 10 pairs: one run of each tree per pair, and
 the tree that goes first alternates from pair to pair, so that a slow spell
 on a shared host hits every tree alike. After the pairs, each tree makes one
 `--trace 1` run of the workload, whose per-layer values are recorded as they
-are and not compared. With two trees the file also records, per end-to-end
-metric, how many pairs the second tree won, the median of the per-pair
-differences and the first tree's interquartile range. Standard library only.
+are and not compared. The file also records every later tree against the
+first: per workload and end-to-end metric, how many pairs the later tree
+won, the median of the per-pair differences and the first tree's
+interquartile range. Standard library only.
 """
 
 import argparse
@@ -130,13 +131,13 @@ def main(argv=None) -> int:
                    "per_layer": "one --trace 1 run per tree after the pairs, not compared"},
         "entries": entries,
     }
-    if len(trees) == 2:
-        (first, _), (second, _) = trees
-        record["comparison"] = {
-            "first": first, "second": second,
-            "workloads": {w: compare(entries[first]["workloads"][w],
-                                     entries[second]["workloads"][w], better)
-                          for w in entries[second]["workloads"]}}
+    first = trees[0][0]
+    record["comparison"] = {
+        "first": first,
+        "later": {label: {w: compare(entries[first]["workloads"][w], entry["workloads"][w],
+                                     better)
+                          for w in WORKLOADS}
+                  for label, entry in entries.items() if label != first}}
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 

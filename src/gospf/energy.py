@@ -247,6 +247,10 @@ class EnergyLedger:
         iface.sums = (iface.sums[0] + e_c, *iface.sums[1:])
         self.total += e_c
 
+    def awake(self, lid: int) -> bool:
+        """Both interfaces of link `lid` are awake."""
+        return self._links[lid].n_awake == 2
+
     def charge(self) -> None:
         """Charge one window under the increments in force."""
         self.windows += 1

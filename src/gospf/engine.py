@@ -201,6 +201,7 @@ class AlwaysOn:
         self.run = run
         self.tables: dict[int, RoutingTable] = {}  # per source, until a failure
         self.flood_copies: dict[int, int] = {}  # never floods
+        self.next_action = math.inf  # a tick never acts
 
     def fail(self, lid: int) -> None:
         for side in self.run.topology.links[lid].endpoints():
@@ -209,9 +210,6 @@ class AlwaysOn:
 
     def start_window(self, w: int, t0: float) -> dict[int, float]:
         return {}
-
-    def awake(self, lid: int) -> bool:
-        return True
 
     def routing_for(self, source: int) -> RoutingTable:
         table = self.tables.get(source)
@@ -228,23 +226,19 @@ class AlwaysOn:
     def resetting(self) -> bool:
         return False
 
-    def next_action_time(self) -> float:
-        return math.inf
-
 
 class _TickEntry:
-    """What one memoised tick did, relative to its start: the effects in
+    """What one memoised tick did, relative to its start: the events in
     order, as (instant index, node, link, event, seq offset), where the
-    event is `_SLEPT` or `_WOKE` for an interface hook and the offset, None
-    for seq -1, is from the node's `_seq` at the tick start; per changed
-    node (index, record after the tick, seq advance, links grafted); the
-    links that carried copies and how many each; and the id of the state
-    the tick leaves."""
+    offset, None for seq -1, is from the node's `_seq` at the tick start;
+    per changed node (index, record after the tick, seq advance, links
+    grafted); the links that carried copies and how many each; and the id
+    of the state the tick leaves."""
 
-    __slots__ = ("effects", "deltas", "links", "copies", "counter", "post")
+    __slots__ = ("events", "deltas", "links", "copies", "counter", "post")
 
-    def __init__(self, effects, deltas, links, copies, post):
-        self.effects = effects
+    def __init__(self, events, deltas, links, copies, post):
+        self.events = events
         self.deltas = deltas
         self.links = links
         self.copies = copies
@@ -252,8 +246,6 @@ class _TickEntry:
         self.post = post
 
 
-_SLEPT = object()
-_WOKE = object()
 _NAME = attrgetter("_name_")
 _STATES = OperationalState.__members__
 _ROLES = InterfaceRole.__members__
@@ -275,8 +267,11 @@ class GospfController(ProtocolHooks):
         cfg = run.cfg
         # One spanning tree per failed-link set, shared by every node.
         self.trees: dict[frozenset[int], SpanningTree] = {}
-        # -inf while something happened since the last tick; see
-        # next_action_time().
+        # -inf after any send, event, failure or reset completion since the
+        # last tick. After a tick that sent and recorded nothing, the
+        # earliest time at which a node's safeguard comparisons change; a
+        # tick that ends before it, on the same samples, repeats that tick
+        # exactly.
         self.next_action = -math.inf
         self.nodes = {nid: GospfNode(
             nid, run.topology, gamma_u=cfg.gamma_u, gamma_l=cfg.gamma_l,
@@ -289,28 +284,24 @@ class GospfController(ProtocolHooks):
         self.window_copies: dict[int, int] = {}
         self.flood_copies: dict[int, int] = {}
         self._forget_states()
-        # The effects of the tick being recorded, else None.
-        self._effects: list | None = None
+        # The events of the tick being recorded, else None.
+        self._events: list | None = None
 
     def record_event(self, t, node, event, link, seq):
         self.run.events.append(f"t={t:.6f} node={node} event={event} link={link} seq={seq}")
         self.next_action = -math.inf
         if event == "CONGESTION_UNRESOLVED":
             self.run.congestion_unresolved += 1
-        if self._effects is not None:
-            self._effects.append((t, node, link, event, seq))
+        if self._events is not None:
+            self._events.append((t, node, link, event, seq))
 
     def interface_woke(self, t, node, link):
         self.run.ledger.wake((link, node))
         self.run.active = None
-        if self._effects is not None:
-            self._effects.append((t, node, link, _WOKE, -1))
 
     def interface_slept(self, t, node, link):
         self.run.ledger.sleep((link, node))
         self.run.active = None
-        if self._effects is not None:
-            self._effects.append((t, node, link, _SLEPT, -1))
 
     def spanning_tree(self, topology: Topology, exclude: frozenset[int]) -> SpanningTree:
         tree = self.trees.get(exclude)
@@ -357,11 +348,6 @@ class GospfController(ProtocolHooks):
         bits = self.run.cfg.control_msg_bytes * 8.0
         return {lid: n * bits for lid, n in window.items()}
 
-    def awake(self, lid: int) -> bool:
-        link = self.run.topology.links[lid]
-        return (self.nodes[link.a].iface_state[lid] is not OperationalState.SLEEP
-                and self.nodes[link.b].iface_state[lid] is not OperationalState.SLEEP)
-
     def routing_for(self, source: int) -> RoutingTable:
         return self.nodes[source].routing_table()
 
@@ -373,9 +359,13 @@ class GospfController(ProtocolHooks):
         function of the controller state, of where each safeguard expiry
         falls among the tick's comparison instants and of each sample's
         class. Those three are the memo key; a repeated key replays the
-        recorded effects instead of ticking the nodes."""
+        recorded events instead of ticking the nodes."""
         self.next_action = math.inf
         nodes = self._node_list
+        # The last tick drained every flood, so no copy of an older message
+        # can arrive: dedup keys are needed only within one tick.
+        for node in nodes:
+            node.seen.clear()
         if any(node.reset_until is not None or node.pending_failures for node in nodes):
             self.state_id = None
             return self._finish(t1, self._drain(t1, samples))
@@ -411,10 +401,6 @@ class GospfController(ProtocolHooks):
         queue = []
         push, pop = heapq.heappush, heapq.heappop
         counter = 0
-        # The last tick drained every flood, so no copy of an older message
-        # can arrive: dedup keys are needed only within one tick.
-        for node in self._node_list:
-            node.seen.clear()
         for node in self._node_list:
             for lid, receiver, msg in node.sample_tick(t1, samples):
                 push(queue, (t1 + latency, msg.origin, msg.seq, receiver, counter, lid, msg))
@@ -520,19 +506,19 @@ class GospfController(ProtocolHooks):
         nodes = self._node_list
         seqs = [node._seq for node in nodes]
         safeguards = [dict(node.safeguard) for node in nodes]
-        self._effects = []
+        self._events = []
         try:
             self._drain(t1, samples)
-            effects = self._effects
+            events = self._events
         finally:
-            self._effects = None
+            self._events = None
         instants = self._instants(t1)
         index = {}
         for k in range(len(instants) - 1, -1, -1):
             index[instants[k]] = k
         seq_of = {node.node_id: seq for node, seq in zip(nodes, seqs)}
-        effects = tuple((index[t], nid, link, event, None if seq == -1 else seq - seq_of[nid])
-                        for t, nid, link, event, seq in effects)
+        events = tuple((index[t], nid, link, event, None if seq == -1 else seq - seq_of[nid])
+                       for t, nid, link, event, seq in events)
         state = self.states[self.state_id]
         post = list(state)
         deltas = []
@@ -555,29 +541,25 @@ class GospfController(ProtocolHooks):
                 deltas.append((i, record, advance, grafted))
                 post[i] = record
         copies = self.window_copies
-        return _TickEntry(effects, tuple(deltas), tuple(copies), tuple(copies.values()),
+        return _TickEntry(events, tuple(deltas), tuple(copies), tuple(copies.values()),
                           self._intern_state(tuple(post)))
 
     def _replay(self, entry: _TickEntry, t1: float) -> None:
-        """Apply a recorded tick through the same hooks a full one calls."""
+        """Apply a recorded tick through the same hooks a full one calls: a
+        node calls the interface hook right before it records a SLEEP or
+        WAKE event."""
         nodes = self.nodes
-        instants = self._instants(t1) if entry.effects else None
-        for k, nid, link, event, offset in entry.effects:
+        instants = self._instants(t1) if entry.events else None
+        for k, nid, link, event, offset in entry.events:
             t = instants[k]
-            if event is _SLEPT:
+            if event == "SLEEP":
                 self.interface_slept(t, nid, link)
-            elif event is _WOKE:
+            elif event == "WAKE":
                 self.interface_woke(t, nid, link)
-            else:
-                self.record_event(t, nid, event, link,
-                                  -1 if offset is None else nodes[nid]._seq + offset)
+            self.record_event(t, nid, event, link,
+                              -1 if offset is None else nodes[nid]._seq + offset)
         state = self.states[self.state_id]
         node_list = self._node_list
-        for node in node_list:
-            node.seen.clear()
-        # The expiry `_graft_step` computes at t1; a grafted link keeps the
-        # later of it and what it held.
-        expiry = t1 + node_list[0].safeguard_interval + node_list[0].t_sample
         for i, record, advance, grafted in entry.deltas:
             node = node_list[i]
             before = state[i]
@@ -597,6 +579,9 @@ class GospfController(ProtocolHooks):
                     node.matrix = {row: set(cut) for row, cut in matrix}
             node._seq += advance
             if grafted:
+                # A grafted link keeps the later of what it held and the
+                # expiry of a graft at t1.
+                expiry = node.graft_expiry(t1)
                 safeguard = node.safeguard
                 for lid in grafted:
                     safeguard[lid] = max(safeguard.get(lid, -math.inf), expiry)
@@ -606,13 +591,6 @@ class GospfController(ProtocolHooks):
 
     def resetting(self) -> bool:
         return any(node.reset_until is not None for node in self._node_list)
-
-    def next_action_time(self) -> float:
-        """-inf after any send, event, failure or reset completion since the
-        last tick. After a tick that sent and recorded nothing, the earliest
-        time at which a node's safeguard comparisons change; a tick that
-        ends before it, on the same samples, repeats that tick exactly."""
-        return self.next_action
 
 
 class _Run:
@@ -645,6 +623,9 @@ class _Run:
 
         ts = self.cfg.t_sample
         self.n_windows = int(math.floor(self.cfg.horizon / ts + 1e-9))
+        if not self.n_windows:
+            raise ConfigError(f"horizon={self.cfg.horizon!r} is shorter than one sampling "
+                              f"window, t_sample={ts!r}")
         # The ledger converts each per-window increment exactly and rounds
         # the network total once per window: every increment must be finite,
         # and the total must stay a float. The bound charges each interface
@@ -676,15 +657,15 @@ class _Run:
         """Links usable for traffic: not failed, both interfaces awake. The
         set is cached until an interface sleeps or wakes or a link fails."""
         if self.active is None:
-            awake = self.controller.awake
+            awake = self.ledger.awake
             self.active = frozenset(lid for lid in self.topology.links
                                     if lid not in self.failed and awake(lid))
         return self.active
 
     def run(self) -> RunResult:
         """Step every window. Per-window results whose inputs did not change
-        since the previous window (demands, allocation, link samples, busy
-        times, connectivity verdicts) are reused, not recomputed.
+        since the previous window (demands, link samples, busy times,
+        connectivity verdicts) are reused, not recomputed.
 
         Energy goes through the ledger: a link's increments are converted
         only in windows where its busy time changes, an interface's only
@@ -714,8 +695,6 @@ class _Run:
         previous_total = 0
 
         # Inputs and results of the previous window, reused while unchanged.
-        prev_alloc_key = None
-        alloc = None
         prev_link_bits = {}
         prev_rates = None
         demands = traffic.window_demands(self.n_windows, ts, cfg.tcp_burst_frac)
@@ -747,7 +726,7 @@ class _Run:
             rates = next(demands)
 
             if (steady and not failed_this_window and rates == prev_rates
-                    and t1 < ctrl.next_action_time()):
+                    and t1 < ctrl.next_action):
                 ledger.charge()
                 ctrl_bytes = 0
             else:
@@ -760,13 +739,8 @@ class _Run:
                     flow = traffic.flows[fid]
                     path = ctrl.routing_for(flow.src).paths.get(flow.dst)
                     flow_paths.append((fid, rate, path))
-                # allocate() is a pure function of these inputs: the
-                # capacities, window and link lookup are fixed for the run.
-                alloc_key = (flow_paths, usable)
-                if alloc_key != prev_alloc_key:
-                    alloc = allocate(flow_paths, capacities, usable, ts,
-                                     self.topology.link_between, hops_of)
-                    prev_alloc_key = alloc_key
+                alloc = allocate(flow_paths, capacities, usable, ts,
+                                 self.topology.link_between, hops_of)
 
                 # Interface bit counters: data plus last window's control traffic.
                 link_bits = dict(alloc.link_bits)

@@ -54,7 +54,9 @@ class ControlMessage:
 
 
 class ProtocolHooks:
-    """Engine-side callbacks; the default implementation records nothing."""
+    """Engine-side callbacks; the default implementation records nothing. A
+    node calls `interface_slept` or `interface_woke` right before it records
+    the matching SLEEP or WAKE event."""
 
     def record_event(self, t: float, node: int, event: str, link: int, seq: int) -> None:
         pass
@@ -149,9 +151,6 @@ class GospfNode:
             self.failed.add(link_id)
             self._set_hops()
 
-    def _invalidate_routing(self) -> None:
-        self._routing = None
-
     def routing_table(self) -> RoutingTable:
         if self._routing is None:
             view = frozenset(self.active_view)
@@ -171,6 +170,12 @@ class GospfNode:
         the safeguards expired by `now`."""
         self.forget_expired_safeguards(now)
         return min(self.safeguard.values(), default=math.inf) - _EPS
+
+    def graft_expiry(self, now: float) -> float:
+        """The safeguard expiry of the links a graft at `now` restores. One
+        sampling period of slack keeps it strictly after every remote wake
+        timestamp, so re-cuts are never mistaken for stale cuts."""
+        return now + self.safeguard_interval + self.t_sample
 
     def safeguard_signature(self, instants: list[float]) -> tuple[tuple[int, int], ...]:
         """Each safeguard's link and how many of the ascending `instants` lie
@@ -303,9 +308,7 @@ class GospfNode:
                                     congested_link, -1)
             return []
         links = tuple(sorted(self.matrix[row]))
-        # One sampling period of slack keeps the expiry strictly after every
-        # remote wake timestamp, so re-cuts are never mistaken for stale cuts.
-        expiry = now + self.safeguard_interval + self.t_sample
+        expiry = self.graft_expiry(now)
         msg = self._next_message(MessageKind.LSGUP, links, expiry)
         self.hooks.record_event(now, self.node_id, "GRAFT", congested_link, msg.seq)
         self._apply_graft(now, links, expiry)
@@ -328,7 +331,7 @@ class GospfNode:
                 if (self.iface_role[lid] is not InterfaceRole.MCST_TREE
                         and self.iface_state[lid] is not OperationalState.SLEEP):
                     self.iface_role[lid] = InterfaceRole.MCST_GRAFT
-        self._invalidate_routing()
+        self._routing = None
 
     def handle_message(self, now: float, msg: ControlMessage,
                        arrival_link: int | None = None):
@@ -383,7 +386,7 @@ class GospfNode:
         for row in self.matrix.values():
             row.discard(link_id)
         self.safeguard.pop(link_id, None)
-        self._invalidate_routing()
+        self._routing = None
 
     def _start_reset(self, now: float, failed_link: int):
         msg = self._next_message(MessageKind.RESET, (failed_link,))
@@ -412,7 +415,7 @@ class GospfNode:
         self.active_view = set(self.topology.links) - self.failed
         until = now + self.mcst_reset_timer
         self.reset_until = until if self.reset_until is None else max(self.reset_until, until)
-        self._invalidate_routing()
+        self._routing = None
 
     def complete_reset_if_due(self, now: float) -> None:
         """After the reset timer elapses, recompute the tree on the surviving
@@ -430,4 +433,4 @@ class GospfNode:
                 self.iface_role[lid] = InterfaceRole.MCST_CUT
             else:
                 self.iface_role[lid] = InterfaceRole.MCST_UNCUT
-        self._invalidate_routing()
+        self._routing = None

@@ -140,15 +140,17 @@ def test_parser_reads_a_recorded_traced_run(bench):
     assert run["metrics"]["graph.bfs_hop_counts.calls"] == 420.0
 
 
-def test_per_layer_values_are_recorded_and_not_compared(bench, tmp_path, monkeypatch):
+def bench_record(bench, tmp_path, monkeypatch, labels):
+    """The record `main` writes for trees named `labels`, each run faked
+    with the recorded output, and the trace flag of every run in order."""
     trees = []
-    for label in ("parent", "change"):
+    for label in labels:
         tree = tmp_path / label
         (tree / "perfbench").mkdir(parents=True)
         (tree / "perfbench" / "run.py").write_text("")
         (tree / "BENCHMARK.json").write_text(
             (BENCH.parent.parent / "BENCHMARK.json").read_text())
-        trees.append(f"{label}={tree}")
+        trees += ["--tree", f"{label}={tree}"]
     traces = []
 
     def fake_run(tree, workload, seconds, trace):
@@ -157,8 +159,12 @@ def test_per_layer_values_are_recorded_and_not_compared(bench, tmp_path, monkeyp
 
     monkeypatch.setattr(bench, "run_perfbench", fake_run)
     out = tmp_path / "BENCH.json"
-    assert bench.main(["--out", str(out), "--tree", trees[0], "--tree", trees[1]]) == 0
-    record = json.loads(out.read_text())
+    assert bench.main(["--out", str(out), *trees]) == 0
+    return json.loads(out.read_text()), traces
+
+
+def test_per_layer_values_are_recorded_and_not_compared(bench, tmp_path, monkeypatch):
+    record, traces = bench_record(bench, tmp_path, monkeypatch, ("parent", "change"))
     # Per workload: the pairs untraced, then one traced run per tree.
     assert traces == ([0] * (2 * bench.PAIRS) + [1, 1]) * len(bench.WORKLOADS)
     traced = bench.parse_perfbench_output(RECORDED_TRACED)["metrics"]
@@ -167,5 +173,22 @@ def test_per_layer_values_are_recorded_and_not_compared(bench, tmp_path, monkeyp
             entry = record["entries"][label]["workloads"][workload]
             assert entry["per_layer"] == traced
             assert entry["correct"] is True
-    for report in record["comparison"]["workloads"].values():
+    for report in record["comparison"]["later"]["change"].values():
         assert set(report) == {"setup_s", "run_s", "windows_per_s", "peak_rss_mb"}
+
+
+def test_every_later_tree_is_compared_with_the_first(bench, tmp_path, monkeypatch):
+    labels = ("parent", "nokey", "change")
+    record, traces = bench_record(bench, tmp_path, monkeypatch, labels)
+    assert traces == ([0] * (3 * bench.PAIRS) + [1, 1, 1]) * len(bench.WORKLOADS)
+    assert set(record["entries"]) == set(labels)
+    comparison = record["comparison"]
+    assert comparison["first"] == "parent"
+    assert set(comparison["later"]) == {"nokey", "change"}
+    for later in comparison["later"].values():
+        assert set(later) == set(bench.WORKLOADS)
+        for report in later.values():
+            assert set(report) == {"setup_s", "run_s", "windows_per_s", "peak_rss_mb"}
+            # Every tree ran the same recorded output.
+            assert report["run_s"]["second_wins"] == 0
+            assert report["run_s"]["pairs"] == bench.PAIRS

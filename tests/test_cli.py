@@ -389,3 +389,19 @@ def test_topology_without_nodes_is_diagnosed(tmp_path, capsys, command):
     assert code == 2
     assert err.startswith("gospf: error:")
     assert "topology has no nodes" in err
+
+
+@pytest.mark.parametrize("command, output", [("run", "metrics.csv"), ("gap", "gap.csv")])
+def test_horizon_shorter_than_one_window_is_diagnosed(small_files, tmp_path, capsys,
+                                                      command, output):
+    topo, traffic, _config = small_files
+    config = tmp_path / "short.conf"
+    config.write_text("horizon=0.1\nt_sample=0.2\n")
+    out = tmp_path / "out"
+    code = run_cli(command, "--topology", topo, "--traffic", traffic,
+                   "--config", config, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("gospf: error:")
+    assert "horizon=0.1" in err and "t_sample=0.2" in err
+    assert not (out / output).exists()

@@ -326,3 +326,28 @@ def test_ledger_equals_the_eager_sums(script):
             [getattr(floats[key], f) for f in fields], rel=1e-12, abs=0.0)
         assert (acct.state, acct.switch_count) == (floats[key].state,
                                                    floats[key].switch_count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ledger_scripts())
+def test_ledger_awake_means_both_interfaces_awake(script):
+    # Busy changes and charged windows leave the awake state alone.
+    t_sample, links, steps = script
+    ledger = EnergyLedger(links, t_sample)
+    asleep = set()
+    for step in steps:
+        if step[0] == "busy":
+            ledger.set_busy(step[1], step[2])
+        elif step[0] == "toggle":
+            key = step[1]
+            if key in asleep:
+                ledger.wake(key)
+                asleep.remove(key)
+            else:
+                ledger.sleep(key)
+                asleep.add(key)
+        else:
+            ledger.charge()
+        for link in links:
+            assert ledger.awake(link.link_id) == all(
+                (link.link_id, side) not in asleep for side in link.endpoints())

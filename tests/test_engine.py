@@ -569,15 +569,23 @@ def test_daily_pair_skips_unchanged_work(garr48, monkeypatch):
 
 # ------------------------------------------------------------ reference loop
 
+def interfaces_awake(nodes, link):
+    """Neither endpoint node holds `link`'s interface asleep."""
+    return all(nodes[side].iface_state[link.link_id] is not OperationalState.SLEEP
+               for side in link.endpoints())
+
+
 def reference_run(sc):
     """`run` without any reuse: every window applies its failures, calls
     `demand_at`, takes routes from the controller, allocates, charges its
     energy, ticks and checks connectivity. Energy is charged eagerly, not
     through the ledger: every window converts every account's increment
     from the account's state and the window's busy time and adds it, and
-    each `switch_count` step adds `e_c`. A `_Run` supplies the real
-    controller, with its tick memo off, the accounts and the run's cost
-    table; its own loop and its ledger's sums are not used."""
+    each `switch_count` step adds `e_c`. A link is awake when both of its
+    nodes' interfaces are, and for the baseline when it has not failed; the
+    ledger is never asked. A `_Run` supplies the real controller, with its
+    tick memo off, the accounts and the run's cost table; its own loop and
+    its ledger's sums are not used."""
     with tick_memo_off():
         state = gospf.engine._Run(sc, capture_states=False)
     cfg, topo, ctrl, traffic = state.cfg, state.topology, state.controller, sc.traffic
@@ -586,10 +594,11 @@ def reference_run(sc):
     all_links = frozenset(topo.links)
     metrics = MetricsSeries(mode=cfg.mode, fingerprint=sc.fingerprint(),
                             t_sample=ts, horizon=cfg.horizon)
+    nodes = ctrl.nodes if cfg.mode == "gospf" else None
 
     def active_links():
-        return frozenset(lid for lid in topo.links
-                         if lid not in state.failed and ctrl.awake(lid))
+        return frozenset(lid for lid, link in topo.links.items() if lid not in state.failed
+                         and (nodes is None or interfaces_awake(nodes, link)))
 
     # Per account: energy, t_active, t_idle, t_sleep in ledger units, and
     # the wake-ups already charged.
@@ -712,6 +721,34 @@ def reference_cases(draw, failures=(0, 2), latencies=(0.001, 0.0)):
 @given(reference_cases())
 def test_run_matches_the_reference_loop(sc):
     assert run_outcome(run, sc) == run_outcome(reference_run, sc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(reference_cases())
+def test_every_interface_hook_is_followed_by_its_event(sc):
+    # A memo replay re-records SLEEP and WAKE events, and calls the hook
+    # right before each, so nodes must pair them the same way.
+    calls = []
+
+    def logged(name):
+        original = getattr(GospfController, name)
+
+        def hook(ctrl, t, node, *args):
+            calls.append((name, t, node, args))
+            return original(ctrl, t, node, *args)
+        return hook
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("record_event", "interface_slept", "interface_woke"):
+            mp.setattr(GospfController, name, logged(name))
+        run_outcome(run, sc)
+    pairs = {"interface_slept": "SLEEP", "interface_woke": "WAKE"}
+    for before, after in zip([None, *calls], [*calls, None]):
+        if before is not None and before[0] in pairs:
+            name, t, node, (link,) = before
+            assert after == ("record_event", t, node, (pairs[name], link, -1))
+        if after is not None and after[0] == "record_event" and after[3][0] in ("SLEEP", "WAKE"):
+            assert before is not None and before[0] in pairs
 
 
 @pytest.mark.parametrize("make", [
@@ -875,8 +912,9 @@ def node_view(node):
 @contextlib.contextmanager
 def converged_view_check():
     """Within the block, every GospfController tick must end with all nodes
-    holding the same active view, safeguards, failed links and cut set, and
-    every node's cached awake ports, when set, matching its state.
+    holding the same active view, safeguards, failed links and cut set,
+    every node's cached awake ports, when set, matching its state, and the
+    ledger holding a link awake exactly when both its interfaces are.
     Yields the list of tick times checked."""
     ticks = []
     original = GospfController.tick
@@ -888,6 +926,9 @@ def converged_view_check():
         for node in ctrl.nodes.values():
             assert node._awake_ports in (None, fresh_awake_ports(node)), \
                 f"node {node.node_id}: stale awake ports after the tick at t={t1}"
+        for lid, link in ctrl.run.topology.links.items():
+            assert ctrl.run.ledger.awake(lid) == interfaces_awake(ctrl.nodes, link), \
+                f"link {lid}: the ledger disagrees with its interfaces after the tick at t={t1}"
         ticks.append(t1)
         return ctrl_bytes
 
