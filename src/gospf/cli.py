@@ -57,14 +57,14 @@ def _load_scenario(args) -> Scenario:
 
 def cmd_run(args) -> int:
     scenario = _load_scenario(args)
+    result = engine.run(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = engine.run(scenario)
     (out / "metrics.csv").write_text(result.metrics.csv_text())
     (out / "events.log").write_text("\n".join(result.events) + ("\n" if result.events else ""))
     (out / "summary.txt").write_text(result.metrics.summary_text())
     (out / "links.csv").write_text(result.links_csv_text(scenario.topology))
-    log.info("run complete: %d windows, %.3f J", len(result.metrics.times),
+    log.info("run complete: %d windows, %.3f J", len(result.metrics.windows),
              result.metrics.total_energy_j)
     return 0
 

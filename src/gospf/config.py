@@ -1,7 +1,7 @@
 """Flat key=value scenario configuration with validated defaults."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .energy import validate_thresholds
 
@@ -77,12 +77,8 @@ _FINITE_KEYS = ("horizon", "t_sample", "control_latency", "mcst_reset_timer",
                 "p_active", "p_idle", "p_sleep", "e_c")
 _NON_NEGATIVE_KEYS = ("control_msg_bytes", "tcp_burst_frac", "p_active", "p_idle",
                       "p_sleep", "e_c")
-_FLOAT_KEYS = {"gamma_u", "gamma_l", "t_sample", "safeguard_interval",
-               "mcst_reset_timer", "alpha", "control_latency", "horizon",
-               "ref_bandwidth", "tcp_burst_frac", "p_active", "p_idle",
-               "p_sleep", "e_c"}
-_INT_KEYS = {"control_msg_bytes"}
-_STR_KEYS = {"mode"}
+# Each key's parser, from its annotation: int, str, or else float (also `float | None`).
+_PARSERS = {f.name: f.type if f.type in (int, str) else float for f in fields(ScenarioConfig)}
 
 
 def parse_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
@@ -97,15 +93,10 @@ def parse_config(text: str, base: ScenarioConfig | None = None) -> ScenarioConfi
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _FLOAT_KEYS:
-                updates[key] = float(value)
-            elif key in _INT_KEYS:
-                updates[key] = int(value)
-            else:
-                updates[key] = value
+            updates[key] = _PARSERS[key](value)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from None
     cfg = replace(cfg, **updates)

@@ -25,7 +25,7 @@ from .graph import (DisconnectedTopology, RoutingTable, SpanningTree, Topology,
                     bfs_hop_counts, is_connected, ospf_costs, shortest_paths,
                     write_topology)
 from .protocol import GospfNode, ProtocolHooks
-from .traffic import TrafficMatrix, allocate, write_traffic
+from .traffic import TrafficMatrix, allocate, ordered_sum, write_traffic
 
 MODE_GOSPF = "gospf"
 
@@ -54,12 +54,19 @@ class Scenario:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@dataclass
-class WindowState:
-    """Snapshot used by the optimality-gap oracle."""
+@dataclass(frozen=True)
+class Window:
+    """Everything one window yields. A replayed window yields the record of
+    the window before it."""
 
-    active: frozenset[int]
-    flows: dict[int, tuple[tuple[int, ...] | None, float]]  # fid -> (path, rate)
+    active: frozenset[int]  # links usable for traffic at the window end
+    flows: tuple  # (fid, rate, path) per flow with a positive rate, as allocated
+    charged: int  # ledger units the window added
+    offered_bits: float
+    delivered_bits: float
+    dropped_bits: float
+    ctrl_bytes: int
+    quiesced: bool
 
 
 @dataclass
@@ -68,19 +75,35 @@ class MetricsSeries:
     fingerprint: str
     t_sample: float
     horizon: float
-    times: list[float] = field(default_factory=list)
-    active_links: list[int] = field(default_factory=list)
-    power_w: list[float] = field(default_factory=list)
-    throughput_bps: list[float] = field(default_factory=list)
-    energy_j: list[float] = field(default_factory=list)  # cumulative
-    ctrl_bytes: list[int] = field(default_factory=list)
-    dropped_bits: list[float] = field(default_factory=list)
-    quiesced: list[bool] = field(default_factory=list)
-    offered_bits_total: float = 0.0
-    delivered_bits_total: float = 0.0
-    dropped_bits_total: float = 0.0
-    ctrl_bytes_total: int = 0
+    windows: list[Window] = field(default_factory=list)
+    energy_j: list[float] = field(default_factory=list)  # cumulative, per window
     congestion_unresolved: int = 0
+
+    # Per-window columns and totals, read from the records.
+
+    @property
+    def times(self) -> list[float]:
+        return [w * self.t_sample for w in range(len(self.windows))]
+
+    @property
+    def active_links(self) -> list[int]:
+        return [len(window.active) for window in self.windows]
+
+    @property
+    def throughput_bps(self) -> list[float]:
+        return [window.delivered_bits / self.t_sample for window in self.windows]
+
+    @property
+    def dropped_bits(self) -> list[float]:
+        return [window.dropped_bits for window in self.windows]
+
+    @property
+    def quiesced(self) -> list[bool]:
+        return [window.quiesced for window in self.windows]
+
+    @property
+    def ctrl_bytes_total(self) -> int:
+        return sum(window.ctrl_bytes for window in self.windows)
 
     @property
     def total_energy_j(self) -> float:
@@ -88,34 +111,41 @@ class MetricsSeries:
 
     @property
     def avg_active_links(self) -> float:
-        return sum(self.active_links) / len(self.active_links) if self.active_links else 0.0
+        return sum(self.active_links) / len(self.windows) if self.windows else 0.0
 
     @property
     def loss_pct(self) -> float:
-        if self.offered_bits_total <= 0:
+        offered = ordered_sum(window.offered_bits for window in self.windows)
+        if offered <= 0:
             return 0.0
-        return 100.0 * self.dropped_bits_total / self.offered_bits_total
+        return 100.0 * ordered_sum(window.dropped_bits for window in self.windows) / offered
 
     @property
     def overhead_pct(self) -> float:
-        delivered_bytes = self.delivered_bits_total / 8.0
+        delivered_bytes = ordered_sum(window.delivered_bits for window in self.windows) / 8.0
         if delivered_bytes <= 0:
             return 0.0 if self.ctrl_bytes_total == 0 else math.inf
         return 100.0 * self.ctrl_bytes_total / delivered_bytes
 
     def csv_text(self) -> str:
+        """One row per window; a repeated record's columns are formatted once."""
+        ts = self.t_sample
         lines = ["t,active_links,power_w,throughput_bps,energy_j,ctrl_bytes,dropped_bits"]
-        for i in range(len(self.times)):
-            lines.append(f"{self.times[i]!r},{self.active_links[i]},{self.power_w[i]!r},"
-                         f"{self.throughput_bps[i]!r},{self.energy_j[i]!r},"
-                         f"{self.ctrl_bytes[i]},{self.dropped_bits[i]!r}")
+        last = None
+        for i, (window, energy) in enumerate(zip(self.windows, self.energy_j)):
+            if window is not last:
+                last = window
+                head = (f"{len(window.active)},{window.charged / ONE / ts!r},"
+                        f"{window.delivered_bits / ts!r}")
+                tail = f"{window.ctrl_bytes},{window.dropped_bits!r}"
+            lines.append(f"{i * ts!r},{head},{energy!r},{tail}")
         return "\n".join(lines) + "\n"
 
     def summary_text(self) -> str:
         lines = [
             f"mode={self.mode}",
             f"fingerprint={self.fingerprint}",
-            f"windows={len(self.times)}",
+            f"windows={len(self.windows)}",
             f"t_sample={self.t_sample!r}",
             f"horizon={self.horizon!r}",
             f"total_energy_j={self.total_energy_j!r}",
@@ -131,7 +161,6 @@ class MetricsSeries:
 class RunResult:
     metrics: MetricsSeries
     events: list[str]
-    states: list[WindowState] | None = None
     accounts: dict[tuple[int, int], EnergyAccount] | None = None  # (link, node)
     # Message copies sent over each link, for links that carried any.
     flood_copies: dict[int, int] = field(default_factory=dict)
@@ -596,12 +625,11 @@ class GospfController(ProtocolHooks):
 class _Run:
     """State for a single simulation run."""
 
-    def __init__(self, scenario: Scenario, capture_states: bool):
+    def __init__(self, scenario: Scenario):
         scenario.config.validate()
         self.scenario = scenario
         self.cfg = scenario.config
         self.topology = scenario.topology
-        self.capture_states = capture_states
 
         for flow in scenario.traffic.flows.values():
             if flow.src not in self.topology.nodes or flow.dst not in self.topology.nodes:
@@ -676,15 +704,14 @@ class _Run:
         no failure, has the same rates, and ends before the controller's
         next action time, which any event, send or failure since the last
         tick sets to -inf. Its tick would repeat the previous tick exactly,
-        so it is not run, and the window charges the previous window's
-        increments."""
+        so it is not run: the window charges the previous window's
+        increments and appends the previous window's record."""
         cfg = self.cfg
         ts = cfg.t_sample
         ctrl = self.controller
         ledger = self.ledger
         metrics = MetricsSeries(mode=cfg.mode, fingerprint=self.scenario.fingerprint(),
                                 t_sample=ts, horizon=cfg.horizon)
-        states: list[WindowState] | None = [] if self.capture_states else None
 
         failures = sorted(self.scenario.link_failures)
         failure_idx = 0
@@ -692,9 +719,9 @@ class _Run:
         capacities = {lid: link.capacity for lid, link in self.topology.links.items()}
         hops_of = {}  # allocate()'s hops per path
         all_links = frozenset(self.topology.links)
-        previous_total = 0
 
         # Inputs and results of the previous window, reused while unchanged.
+        window = None
         prev_link_bits = {}
         prev_rates = None
         demands = traffic.window_demands(self.n_windows, ts, cfg.tcp_burst_frac)
@@ -702,12 +729,12 @@ class _Run:
         samples = dict.fromkeys(capacities, 0.0)  # per-link utilization
         busy = dict.fromkeys(capacities, 0.0)  # the ledger starts every link idle
         surviving_connected = is_connected(self.topology, all_links)
-        checked_active = None
 
         for w in range(self.n_windows):
             t0 = w * ts
             t1 = t0 + ts
             events_before = len(self.events)
+            total_before = ledger.total
             failed_this_window = False
 
             # Scheduled link failures take effect at the window start.
@@ -728,7 +755,6 @@ class _Run:
             if (steady and not failed_this_window and rates == prev_rates
                     and t1 < ctrl.next_action):
                 ledger.charge()
-                ctrl_bytes = 0
             else:
                 # Demands and fluid allocation on the currently believed routes.
                 usable = self._ground_truth_active()
@@ -768,35 +794,20 @@ class _Run:
                 # Every distinct active set is checked once, in the first
                 # window that ends with it.
                 active = self._ground_truth_active()
-                if active is not checked_active:
+                if window is None or active is not window.active:
                     if surviving_connected and not is_connected(self.topology, active):
                         raise AssertionError(
                             f"window {w}: active link set no longer spans the network")
-                    checked_active = active
 
-                quiet = (not ctrl_bytes and len(self.events) == events_before
-                         and not failed_this_window and not ctrl.resetting())
+                # Wake costs charged by the tick land in this window.
+                window = Window(
+                    active, tuple(flow_paths), ledger.total - total_before,
+                    alloc.offered_bits, alloc.delivered_bits, alloc.dropped_bits, ctrl_bytes,
+                    not ctrl_bytes and len(self.events) == events_before
+                    and not failed_this_window and not ctrl.resetting())
 
-            # Wake costs charged by the tick land in this window. Both
-            # energies are exact sums, each rounded once.
-            total = ledger.total
-            metrics.times.append(t0)
-            metrics.active_links.append(len(active))
-            metrics.power_w.append((total - previous_total) / ONE / ts)
-            metrics.throughput_bps.append(alloc.delivered_bits / ts)
-            metrics.energy_j.append(total / ONE)
-            metrics.ctrl_bytes.append(ctrl_bytes)
-            metrics.dropped_bits.append(alloc.dropped_bits)
-            metrics.offered_bits_total += alloc.offered_bits
-            metrics.delivered_bits_total += alloc.delivered_bits
-            metrics.dropped_bits_total += alloc.dropped_bits
-            metrics.ctrl_bytes_total += ctrl_bytes
-            metrics.quiesced.append(quiet)
-            previous_total = total
-
-            if states is not None:
-                states.append(WindowState(active=active, flows={
-                    fid: (path, rate) for fid, rate, path in flow_paths}))
+            metrics.windows.append(window)
+            metrics.energy_j.append(ledger.total / ONE)  # an exact sum, rounded once
 
             # A window with control bits in was charged for them; the next
             # window, without them, charges different increments.
@@ -805,10 +816,10 @@ class _Run:
 
         ledger.close()
         metrics.congestion_unresolved = self.congestion_unresolved
-        return RunResult(metrics=metrics, events=self.events, states=states,
-                         accounts=self.accounts, flood_copies=ctrl.flood_copies)
+        return RunResult(metrics=metrics, events=self.events, accounts=self.accounts,
+                         flood_copies=ctrl.flood_copies)
 
 
-def run(scenario: Scenario, capture_states: bool = False) -> RunResult:
+def run(scenario: Scenario) -> RunResult:
     """Execute one scenario deterministically."""
-    return _Run(scenario, capture_states).run()
+    return _Run(scenario).run()

@@ -359,7 +359,7 @@ def heuristic_gap(scenario: Scenario, *, max_links: int = 20,
         raise InstanceTooLarge(
             f"{len(scenario.topology.links)} links exceeds the guardrail of {max_links}")
 
-    result = run(scenario, capture_states=True)
+    windows = run(scenario).metrics.windows
     alpha = Fraction(scenario.config.alpha)
     tables = _Tables(CmndInstance(scenario.topology, (), alpha), scenario.config.ref_bandwidth)
     # A row depends only on the window's active set and flows, and quiesced
@@ -370,20 +370,17 @@ def heuristic_gap(scenario: Scenario, *, max_links: int = 20,
     feasibility: dict[tuple, bool] = {}
     rows: list[GapRow] = []
 
-    for w, quiet in enumerate(result.metrics.quiesced):
-        if not quiet:
+    for w, window in enumerate(windows):
+        if not window.quiesced:
             continue
-        state = result.states[w]
-        state_key = (state.active, tuple(sorted(state.flows.items())))
+        flows = tuple(sorted(window.flows))
+        state_key = (window.active, flows)
         if state_key in scored:
             rows.append(GapRow(w, *scored[state_key]))
             continue
         agg: dict[tuple[int, int], float | Fraction] = {}
         flows_for_check = []
-        for fid in sorted(state.flows):
-            path, rate = state.flows[fid]
-            if rate <= 0:
-                continue
+        for fid, rate, path in flows:
             flow = scenario.traffic.flows[fid]
             pair = (flow.src, flow.dst)
             # Only flows that share an endpoint pair need an exact sum.
@@ -403,7 +400,7 @@ def heuristic_gap(scenario: Scenario, *, max_links: int = 20,
             cache[demands] = solution.power_cost
         optimal = cache[demands]
 
-        heuristic = sum(map(tables.powers.__getitem__, state.active))
+        heuristic = sum(map(tables.powers.__getitem__, window.active))
         flows_key = tuple(flows_for_check)
         if flows_key not in feasibility:
             feasibility[flows_key] = check_flow_feasibility(scenario.topology,

@@ -2,10 +2,18 @@
 
 import heapq
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .graph import Topology, compute_mcst, ospf_costs, shortest_paths
+
+
+def ordered_sum(values) -> float:
+    """`sum(values)` as Python 3.11 and earlier compute it: 0, then each
+    float added in order, each add rounded. From 3.12 `sum` compensates."""
+    return reduce(operator.add, values, 0)
 
 
 class TrafficError(ValueError):
@@ -160,8 +168,8 @@ def allocate(flow_paths, capacities: dict[int, float], usable,
     if link_bits is not None:
         delivered += [bits for bits, _hops in walks]
         dropped += [0.0] * len(walks)
-        return AllocationResult(link_bits=link_bits, offered_bits=offered_total,
-                                delivered_bits=sum(delivered), dropped_bits=sum(dropped))
+        return AllocationResult(link_bits, offered_total, ordered_sum(delivered),
+                                ordered_sum(dropped))
 
     scale: dict[tuple[int, int], float] = {}
     cap_bits = {}
@@ -195,8 +203,8 @@ def allocate(flow_paths, capacities: dict[int, float], usable,
             link_bits[lid] = link_bits.get(lid, 0.0) + r
         delivered.append(r)
         dropped.append(bits - r)
-    return AllocationResult(link_bits=link_bits, offered_bits=offered_total,
-                            delivered_bits=sum(delivered), dropped_bits=sum(dropped))
+    return AllocationResult(link_bits, offered_total, ordered_sum(delivered),
+                            ordered_sum(dropped))
 
 
 def _unscaled(walks, capacities, usable, window):
@@ -395,7 +403,7 @@ def generate_traffic(topology: Topology, kind: str, count: int, peak_util: float
 
     full_loads = peak_loads(full_tables)
     utils = [load / topology.links[lid].capacity for lid, load in sorted(full_loads.items())]
-    mean_util_per_scale = sum(utils) / len(utils)
+    mean_util_per_scale = ordered_sum(utils) / len(utils)
     max_full_per_scale = max(utils)
     scale = peak_util / mean_util_per_scale
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from gospf.config import ScenarioConfig, parse_config
+from gospf.energy import ONE
 from gospf.engine import Scenario, compare, run
 from gospf.graph import compute_mcst, is_connected
 from gospf.oracle import check_flow_feasibility, solve_static
@@ -98,13 +99,14 @@ def test_criterion_03_energy_saving_band_and_peak_shape(daily_udp):
     assert 25.0 <= saving <= 45.0
 
     # windowed saving at the midday peak must undercut the night trough
-    n = len(g.metrics.times)
+    n = len(g.metrics.windows)
+    ts = g.metrics.t_sample
 
     def hour_band_saving(start_hour):
         lo = int(n * start_hour / 24)
         hi = int(n * (start_hour + 1) / 24)
-        pg = sum(g.metrics.power_w[lo:hi])
-        pb = sum(b.metrics.power_w[lo:hi])
+        pg = sum(window.charged / ONE / ts for window in g.metrics.windows[lo:hi])
+        pb = sum(window.charged / ONE / ts for window in b.metrics.windows[lo:hi])
         return (1.0 - pg / pb) * 100.0
 
     peak = hour_band_saving(13)
@@ -193,19 +195,18 @@ def test_criterion_09_quiesced_states_are_design_feasible():
     scenarios = feasible = quiesced_total = 0
     for seed in range(20):
         scenario = small_scenario(seed)
-        result = run(scenario, capture_states=True)
+        result = run(scenario)
         if result.metrics.congestion_unresolved:
             continue
         scenarios += 1
         alpha = Fraction(scenario.config.alpha)
-        for window, quiet in enumerate(result.metrics.quiesced):
-            if not quiet:
+        for w, window in enumerate(result.metrics.windows):
+            if not window.quiesced:
                 continue
             quiesced_total += 1
-            state = result.states[window]
-            flows = [(path, rate) for path, rate in state.flows.values()]
+            flows = [(path, rate) for _fid, rate, path in window.flows]
             assert check_flow_feasibility(scenario.topology, flows, alpha), \
-                f"seed {seed} window {window} violates the capacity constraint"
+                f"seed {seed} window {w} violates the capacity constraint"
             feasible += 1
     assert scenarios == 20, "scenario generator produced unresolved congestion"
     assert quiesced_total > 0 and feasible == quiesced_total
@@ -243,8 +244,8 @@ def test_criterion_10_protocol_invariant_suite():
     for seed in range(6):
         scenario = invariant_scenario(seed)
         tree = compute_mcst(scenario.topology)
-        result = run(scenario, capture_states=True)
-        again = run(scenario, capture_states=True)
+        result = run(scenario)
+        again = run(scenario)
 
         # determinism: byte-identical logs and metrics
         assert result.events == again.events
@@ -256,9 +257,9 @@ def test_criterion_10_protocol_invariant_suite():
         tree_sleeps = [e for e in events if e[2] == "SLEEP" and e[3] in tree.edges]
         assert tree_sleeps == []
 
-        # connectivity of every captured active set (engine audits too)
-        for state in result.states:
-            assert is_connected(scenario.topology, state.active)
+        # connectivity of every window's active set (engine audits too)
+        for window in result.metrics.windows:
+            assert is_connected(scenario.topology, window.active)
 
         # safeguard: a restored link is not cut again too early
         last_wake = {}
@@ -307,9 +308,9 @@ def test_criterion_10_protocol_invariant_suite():
         cfg = parse_config("horizon=20.0")
         scenario = Scenario(topo, TrafficMatrix([], cfg.horizon), cfg,
                             link_failures=((5.0, failed),))
-        result = run(scenario, capture_states=True)
+        result = run(scenario)
         assert any(e[2] == "RESET" for e in parse_events(result.events))
-        final_active = result.states[-1].active
+        final_active = result.metrics.windows[-1].active
         new_tree = compute_mcst(topo, exclude=frozenset({failed}))
         assert failed not in new_tree.edges
         assert final_active == new_tree.edges  # zero traffic: exactly the tree
@@ -348,22 +349,22 @@ def test_criterion_11_graft_walkthrough_end_state():
     flow_fa.add_step(10.0, 6e6)
     cfg = parse_config("horizon=20.0")
     scenario = Scenario(topo, TrafficMatrix([flow_dc, flow_fa], cfg.horizon), cfg)
-    result = run(scenario, capture_states=True)
+    result = run(scenario)
 
-    final = result.states[-1]
+    final = result.metrics.windows[-1]
     assert final.active == tree.edges | {6}, "end state must be tree plus C-A"
     assert result.metrics.loss_pct == 0.0
     assert result.metrics.congestion_unresolved == 0
 
     # link B-C (id 2) no longer overutilized: check its final-window load
     load = {}
-    for path, rate in final.flows.values():
+    for _fid, rate, path in final.flows:
         for u, v in zip(path, path[1:]):
             lid = topo.link_between(u, v)
             load[lid] = load.get(lid, 0.0) + rate
     bc_util = load.get(2, 0.0) / topo.links[2].capacity
     assert bc_util <= 0.8
     # the F -> A traffic rides the restored C-A link
-    assert final.flows[2][0] == (6, 3, 1)
+    assert {fid: path for fid, _rate, path in final.flows}[2] == (6, 3, 1)
     report(11, f"six-node walkthrough ends at tree plus C-A with the shared "
                f"link at {bc_util:.2f} utilization")

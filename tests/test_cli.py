@@ -405,3 +405,16 @@ def test_horizon_shorter_than_one_window_is_diagnosed(small_files, tmp_path, cap
     assert err.startswith("gospf: error:")
     assert "horizon=0.1" in err and "t_sample=0.2" in err
     assert not (out / output).exists()
+
+
+@pytest.mark.parametrize("command", ["run", "gap"])
+def test_failed_command_leaves_no_output_directory(small_files, tmp_path, capsys, command):
+    topo, traffic, _config = small_files
+    config = tmp_path / "short.conf"
+    config.write_text("horizon=0.1\n")
+    out = tmp_path / "out"
+    code = run_cli(command, "--topology", topo, "--traffic", traffic,
+                   "--config", config, "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("gospf: error:")
+    assert not out.exists()

@@ -14,7 +14,7 @@ import gospf.protocol
 from gospf.config import ConfigError, ScenarioConfig, parse_config
 from gospf.energy import ONE, EnergyLedger, OperationalState, exact
 from gospf.engine import (GospfController, MetricsSeries, MismatchedScenarios,
-                          RunResult, Scenario, compare, run)
+                          RunResult, Scenario, Window, compare, run)
 from gospf.graph import Topology, compute_mcst, is_connected
 from gospf.protocol import GospfNode
 from gospf.traffic import Flow, TrafficMatrix, allocate, generate_traffic
@@ -160,13 +160,10 @@ def test_bridge_failure_is_reported_clearly():
 
 # ------------------------------------------------------------------ compare
 
-def series(mode, energies, fp="x", **totals):
+def series(mode, energies, fp="x"):
     m = MetricsSeries(mode=mode, fingerprint=fp, t_sample=0.2, horizon=1.0)
     m.energy_j = list(energies)
-    m.times = [0.2 * i for i in range(len(energies))]
-    m.active_links = [1] * len(energies)
-    for key, value in totals.items():
-        setattr(m, key, value)
+    m.windows = [Window(frozenset({1}), (), 0, 0.0, 0.0, 0.0, 0, True)] * len(energies)
     return m
 
 
@@ -489,7 +486,7 @@ def test_steady_windows_run_no_protocol_tick(garr48, monkeypatch):
 
     monkeypatch.setattr(GospfController, "tick", tick)
     result = run(scenario(garr48, horizon=10.0))
-    assert result.metrics.ctrl_bytes[0] > 0
+    assert result.metrics.windows[0].ctrl_bytes > 0
     assert ticks == [0.2, 0.4, 0.6000000000000001]
     assert len(result.metrics.times) == 50
 
@@ -554,17 +551,26 @@ def test_daily_pair_skips_unchanged_work(garr48, monkeypatch):
     matrix = generate_traffic(garr48, "daily", 17, 0.4, ScenarioConfig().horizon)
     per_mode = {}
     searches = {}
+    records = {}
     for mode in ("gospf", "baseline"):
         counts.clear()
-        run(scenario(garr48, matrix, mode=mode))
+        metrics = run(scenario(garr48, matrix, mode=mode)).metrics
         searches[mode] = counts.pop("bfs_hop_counts", 0)
         per_mode[mode] = dict(counts)
+        # A replayed window appends the previous window's record, so the
+        # day holds one record per window that ran: per tick for gospf.
+        windows = metrics.windows
+        records[mode] = (len({id(window) for window in windows}),
+                         1 + sum(b is not a for a, b in zip(windows, windows[1:])))
+        assert sum(window.charged for window in metrics.windows) / ONE == \
+            metrics.total_energy_j
     assert per_mode == {
         "gospf": {"demand_at": 96, "set_busy": 29_073, "tick": 712, "sample_tick": 384,
                   "handle_message": 3_777},
         "baseline": {"demand_at": 96, "set_busy": 3_060},
     }
     assert searches == {"gospf": 48, "baseline": 0}
+    assert records == {"gospf": (712, 712), "baseline": (60, 60)}
 
 
 # ------------------------------------------------------------ reference loop
@@ -587,7 +593,7 @@ def reference_run(sc):
     tick memo off, the accounts and the run's cost table; its own loop and
     its ledger's sums are not used."""
     with tick_memo_off():
-        state = gospf.engine._Run(sc, capture_states=False)
+        state = gospf.engine._Run(sc)
     cfg, topo, ctrl, traffic = state.cfg, state.topology, state.controller, sc.traffic
     ts = cfg.t_sample
     capacities = {lid: link.capacity for lid, link in topo.links.items()}
@@ -650,20 +656,13 @@ def reference_run(sc):
                 and not is_connected(topo, active)):
             raise AssertionError(f"window {w}: active link set no longer spans the network")
 
-        metrics.times.append(t0)
-        metrics.active_links.append(len(active))
-        metrics.power_w.append((total - previous_total) / ONE / ts)
-        metrics.throughput_bps.append(alloc.delivered_bits / ts)
+        metrics.windows.append(Window(
+            active, tuple(flow_paths), total - previous_total, alloc.offered_bits,
+            alloc.delivered_bits, alloc.dropped_bits, ctrl_bytes,
+            not ctrl_bytes and len(state.events) == events_before
+            and not failed_this_window and not ctrl.resetting()))
         metrics.energy_j.append(total / ONE)
         previous_total = total
-        metrics.ctrl_bytes.append(ctrl_bytes)
-        metrics.dropped_bits.append(alloc.dropped_bits)
-        metrics.offered_bits_total += alloc.offered_bits
-        metrics.delivered_bits_total += alloc.delivered_bits
-        metrics.dropped_bits_total += alloc.dropped_bits
-        metrics.ctrl_bytes_total += ctrl_bytes
-        metrics.quiesced.append(not ctrl_bytes and len(state.events) == events_before
-                                and not failed_this_window and not ctrl.resetting())
     for key, acct in state.accounts.items():
         acct.energy_j, acct.t_active, acct.t_idle, acct.t_sleep = (
             s / ONE for s in sums[key])
@@ -674,14 +673,14 @@ def reference_run(sc):
 
 def run_outcome(runner, sc):
     """What a run loop produced: the counted digest, the per-link report,
-    the quiesced flags and every account's energy and state times, or the
-    type and message of the error it raised."""
+    every window's record, by value, and every account's energy and state
+    times, or the type and message of the error it raised."""
     try:
         result = runner(sc)
     except Exception as exc:
         return type(exc), str(exc)
     return (counted_digest(result), result.links_csv_text(sc.topology),
-            result.metrics.quiesced,
+            result.metrics.windows,
             [(key, acct.energy_j, acct.t_active, acct.t_idle, acct.t_sleep)
              for key, acct in result.accounts.items()])
 
@@ -858,7 +857,7 @@ def test_tick_memo_keeps_the_rows_of_stale_cut_links():
     # A failure moves hop counts but leaves the links cut before it in their
     # old cut-matrix rows, and grafts escalate row by row, so the memo must
     # tell a link in its hop-count row from one in another row.
-    ctrl = gospf.engine._Run(cut_graft_scenario(), capture_states=False).controller
+    ctrl = gospf.engine._Run(cut_graft_scenario()).controller
     node = ctrl.nodes[1]
     lid = min(set(node.topology.links) - node.mcst.edges)
     row = node._row_of[lid]
@@ -872,7 +871,7 @@ def controller_with_uneven_safeguards(t1):
     """A controller whose nodes hold, in order: a live safeguard and one
     expired by t1; the same two; another live one; the first two again;
     nothing. Nodes share a signature only with the node before them."""
-    ctrl = gospf.engine._Run(cut_graft_scenario(), capture_states=False).controller
+    ctrl = gospf.engine._Run(cut_graft_scenario()).controller
     live, expired, other = t1 + 0.5, t1 - 0.5, t1 + 0.0005
     held = [{5: live, 6: expired}, {5: live, 6: expired}, {5: other},
             {5: live, 6: expired}, {}]

@@ -736,8 +736,8 @@ def test_walkthrough_end_state_is_design_feasible():
     cfg = parse_config("horizon=10.0")
     scenario = Scenario(topo, TrafficMatrix([flow_dc, flow_fa], cfg.horizon), cfg)
 
-    result = run(scenario, capture_states=True)
-    assert result.states[-1].active == frozenset({1, 2, 3, 4, 5, 6})
+    result = run(scenario)
+    assert result.metrics.windows[-1].active == frozenset({1, 2, 3, 4, 5, 6})
 
     rows = heuristic_gap(scenario)
     assert rows and all(row.feasible for row in rows)
@@ -801,17 +801,16 @@ def fraction_gap_rows(scenario):
     """`heuristic_gap`'s rows scored window by window in rationals, with no
     caches: `Fraction` demand sums and link powers, the optimum from a
     fresh `solve_static`, and `fraction_check_capacity` for feasibility."""
-    result = run(scenario, capture_states=True)
+    result = run(scenario)
     topology = scenario.topology
     alpha = Fraction(scenario.config.alpha)
     powers = {lid: 2 * Fraction(link.p_active) for lid, link in topology.links.items()}
     rows = []
-    for w, quiet in enumerate(result.metrics.quiesced):
-        if not quiet:
+    for w, window in enumerate(result.metrics.windows):
+        if not window.quiesced:
             continue
-        state = result.states[w]
         agg, live = {}, []
-        for fid, (path, rate) in sorted(state.flows.items()):
+        for fid, rate, path in sorted(window.flows):
             if rate > 0:
                 flow = scenario.traffic.flows[fid]
                 agg[(flow.src, flow.dst)] = (agg.get((flow.src, flow.dst), Fraction(0))
@@ -820,7 +819,7 @@ def fraction_gap_rows(scenario):
         demands = tuple(Demand(s, d, v) for (s, d), v in sorted(agg.items()))
         optimal = solve_static(CmndInstance(topology, demands, alpha),
                                ref_bandwidth=scenario.config.ref_bandwidth).power_cost
-        heuristic = sum((powers[lid] for lid in state.active), Fraction(0))
+        heuristic = sum((powers[lid] for lid in window.active), Fraction(0))
         feasible = (all(path is not None and len(path) >= 2
                          and None not in map(topology.link_between, path, path[1:])
                          for _rate, path in live)
@@ -912,15 +911,14 @@ def test_gap_solves_each_demand_set_and_checks_each_flow_set_once(monkeypatch):
     monkeypatch.setattr(gospf.oracle, "check_flow_feasibility", check_counted)
     rows = heuristic_gap(scenario)
 
-    result = run(scenario, capture_states=True)
+    result = run(scenario)
     states, demand_sets, flow_sets = set(), set(), set()
-    for w, quiet in enumerate(result.metrics.quiesced):
-        if not quiet:
+    for window in result.metrics.windows:
+        if not window.quiesced:
             continue
-        state = result.states[w]
-        states.add((state.active, tuple(sorted(state.flows.items()))))
-        live = [(fid, path, rate) for fid, (path, rate)
-                in sorted(state.flows.items()) if rate > 0]
+        states.add((window.active, tuple(sorted(window.flows))))
+        live = [(fid, path, rate) for fid, rate, path
+                in sorted(window.flows) if rate > 0]
         flow_sets.add(tuple((path, rate) for _fid, path, rate in live))
         agg = {}
         for fid, _path, rate in live:

@@ -196,6 +196,19 @@ def test_no_route_flow_counts_dropped():
     assert result.dropped_bits == pytest.approx(2e6)
 
 
+def test_totals_add_left_to_right():
+    # 1e16 + 1 rounds back to 1e16, twice; a compensated sum, as `sum` is
+    # from Python 3.12, would give 1.0000000000000002e16.
+    topo = make_topology([(1, 2)], 1e7)
+    flows = [(1, 1e16, None), (2, 1.0, None), (3, 1.0, None)]
+    result = allocate(flows, {1: 1e7}, frozenset({1}), 1.0, topo.link_between)
+    assert result.dropped_bits == 1e16
+    # With no flow, a total is the int 0 that `sum([])` gives, which
+    # metrics.csv writes as "0".
+    empty = allocate([], {1: 1e7}, frozenset({1}), 1.0, topo.link_between)
+    assert repr(empty.dropped_bits) == "0"
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
        st.integers(min_value=1, max_value=5))
